@@ -17,8 +17,8 @@
 //! * **Async bounded-staleness** ([`async_staleness_levels`] /
 //!   [`run_async_scenario`]): the third answer to stragglers — neither
 //!   shrink the pool nor drop the slow tier, but *overlap* rounds with
-//!   [`fedft_core::AsyncExecutor`]. The same two-tier mix is swept over
-//!   `max_staleness` bounds; accuracy vs staleness (and the shrinking
+//!   [`fedft_core::ExecutionBackend::Async`]. The same two-tier mix is swept
+//!   over `max_staleness` bounds; accuracy vs staleness (and the shrinking
 //!   simulated wall clock, see [`Table3Result::staleness_table`]) shows the
 //!   freshness/throughput trade-off next to the other two lineups.
 //!

@@ -442,27 +442,23 @@ impl FlConfig {
                 ),
             });
         }
-        if matches!(self.execution, ExecutionBackend::Async { .. })
-            && self.deadline_seconds.is_finite()
-        {
+        // Both event-clock backends replace deadline drops with bounded
+        // staleness (`Async` is `Streaming` with a never-filling buffer).
+        let event_clock = matches!(
+            self.execution,
+            ExecutionBackend::Async { .. } | ExecutionBackend::Streaming(_)
+        );
+        if event_clock && self.deadline_seconds.is_finite() {
             return Err(FlError::InvalidConfig {
                 what: format!(
-                    "the async backend replaces deadline drops with bounded staleness; \
+                    "the {} backend replaces deadline drops with bounded staleness; \
                      leave deadline_seconds infinite (got {})",
+                    self.execution.short_name(),
                     self.deadline_seconds
                 ),
             });
         }
         if let ExecutionBackend::Streaming(params) = &self.execution {
-            if self.deadline_seconds.is_finite() {
-                return Err(FlError::InvalidConfig {
-                    what: format!(
-                        "the streaming backend replaces deadline drops with buffered \
-                         flushes; leave deadline_seconds infinite (got {})",
-                        self.deadline_seconds
-                    ),
-                });
-            }
             params.validate()?;
         }
         if self.worker_threads == Some(0) {

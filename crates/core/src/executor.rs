@@ -3,7 +3,8 @@
 //! Each round of [`crate::Simulation`] trains every participating client
 //! against the current global model. How those independent local updates are
 //! scheduled is an execution concern, not an algorithmic one, so it lives
-//! behind the [`RoundExecutor`] trait with five implementations:
+//! behind the [`RoundExecutor`] trait with four implementations serving
+//! five [`ExecutionBackend`]s:
 //!
 //! * [`SequentialExecutor`] — one client after another on the calling
 //!   thread. The reference behaviour.
@@ -21,26 +22,15 @@
 //!   training, and only the survivors are trained (by an inner executor)
 //!   and aggregated. With an infinite deadline and no offline probability it
 //!   degenerates to its inner executor, bit for bit.
-//! * [`AsyncExecutor`] — an event-driven simulated clock with **bounded
-//!   staleness**: instead of dropping slow devices, aggregation rounds
-//!   overlap. A client sampled for round `r` is dispatched as soon as model
-//!   version `r − max_staleness` exists and trains against the freshest
-//!   version available at its dispatch time, so fast devices start on the
-//!   next round while stragglers from earlier rounds are still training.
-//!   Updates carry their staleness to the server, which discounts them
-//!   during aggregation ([`crate::Server::aggregate_stale`]). With
-//!   `max_staleness = 0` (and no offline probability) dispatch stalls until
-//!   the current version exists and the executor degenerates to a
-//!   synchronous round loop, bit for bit.
-//! * [`StreamingExecutor`] — continuous serving over the same event clock:
-//!   clients *arrive* after their round is announced (per an
-//!   [`ArrivalModel`] on its own RNG stream), train on the freshest
-//!   published model, and their finished updates queue in a server-side
-//!   buffer that is flushed FedBuff-style every `K` updates or `T`
-//!   simulated seconds — so a round's aggregation can carry updates
-//!   dispatched in earlier rounds. With `K =` cohort size, steady arrivals
-//!   and staleness bound 0 every flush is exactly one full synchronous
-//!   round, bit for bit.
+//! * [`StreamingExecutor`] — the one event-driven simulated clock, behind
+//!   both `Async` and `Streaming`: rounds overlap under **bounded
+//!   staleness** instead of dropping slow devices. Clients arrive (per an
+//!   [`ArrivalModel`]), train on the freshest published model version, and
+//!   their updates are flushed FedBuff-style from a server-side buffer
+//!   every `K` updates or `T` simulated seconds, discounted by staleness
+//!   ([`crate::Server::aggregate_stale`]). [`ExecutionBackend::Async`] is
+//!   this clock with a buffer that never fills, so every round drains at
+//!   its last completion.
 //!
 //! The backend is selected by the [`ExecutionBackend`] knob on
 //! [`FlConfig`]; simulation code only sees the trait, and
@@ -53,9 +43,9 @@
 //! cache entries (whether in a client-private [`crate::cache::FeatureCache`]
 //! or the run-wide shared [`crate::cache::CacheRegistry`]) are keyed by the
 //! frozen backbone's fingerprint and the shard's checksum, both invariant
-//! across rounds *and* across the async backend's model versions (only `θ`
+//! across rounds *and* across the event clock's model versions (only `θ`
 //! differs), so cached rounds replay uncached histories bit for bit on all
-//! five executors — pinned by `tests/feature_cache_e2e.rs` and
+//! five backends — pinned by `tests/feature_cache_e2e.rs` and
 //! `tests/logical_pool_e2e.rs`.
 //!
 //! # Invariants
@@ -71,6 +61,10 @@
 //!   [`crate::RunResult::learning_history`] views are `==` — the histories
 //!   with cache counters and flush bookkeeping zeroed, since those
 //!   legitimately differ between backends that do the same learning.
+//! * **One event clock.** `Async { max_staleness: s }` *is*
+//!   [`StreamingExecutor`] over `StreamingParams::new(usize::MAX)
+//!   .with_max_staleness(s)`, so it is also pinned equal to `Streaming`
+//!   with `K =` cohort, steady arrivals, no timer and bound `s`.
 //! * **Order-independent aggregation.** Updates are handed to the server
 //!   in participant order whatever thread or simulated-clock order produced
 //!   them; combined with every local update being a pure function of
@@ -128,6 +122,8 @@ pub enum ExecutionBackend {
     /// model: clients train against the global-model version available at
     /// their dispatch time (at most `max_staleness` versions behind the
     /// round that aggregates them) and the server discounts stale updates.
+    /// Runs on the [`StreamingExecutor`] event clock with a buffer that
+    /// never fills, so each round closes when its last update arrives.
     Async {
         /// Largest number of global-model versions an aggregated update may
         /// lag behind. `0` forces synchronous rounds — bit-identical to
@@ -177,9 +173,12 @@ impl ExecutionBackend {
             ExecutionBackend::Sequential => Box::new(SequentialExecutor),
             ExecutionBackend::Parallel => Box::new(parallel()),
             ExecutionBackend::Deadline => Box::new(DeadlineExecutor::over(parallel())),
-            ExecutionBackend::Async { max_staleness } => {
-                Box::new(AsyncExecutor::over(*max_staleness, parallel()))
-            }
+            // A buffer that never fills drains every round at its last
+            // completion: the asynchronous round close.
+            ExecutionBackend::Async { max_staleness } => Box::new(StreamingExecutor::over(
+                StreamingParams::new(usize::MAX).with_max_staleness(*max_staleness),
+                parallel(),
+            )),
             ExecutionBackend::Streaming(params) => {
                 Box::new(StreamingExecutor::over(*params, parallel()))
             }
@@ -195,7 +194,7 @@ impl ExecutionBackend {
 /// announced (`T`; `f64::INFINITY` disables the timer). Updates still in
 /// flight at a flush stay buffered and are aggregated by a later round,
 /// discounted by how many versions they lagged
-/// ([`crate::Server::aggregate_buffered`]).
+/// ([`crate::Server::aggregate_stale`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StreamingParams {
     /// Flush as soon as this many completed updates are buffered (≥ 1).
@@ -314,7 +313,7 @@ pub struct UpdateTiming {
     pub simulated_seconds: f64,
 }
 
-/// Why the streaming backend flushed its update buffer.
+/// Why the event clock flushed its update buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlushTrigger {
     /// `buffer_size` completed updates were queued.
@@ -323,11 +322,11 @@ pub enum FlushTrigger {
     Timeout,
     /// Neither condition could fire (fewer completions than the buffer size
     /// and no flush timer): the server drained whatever completed so the
-    /// round could close.
+    /// round could close. Every `Async` round closes this way.
     Drain,
 }
 
-/// Bookkeeping of one buffered flush of the streaming backend.
+/// Bookkeeping of one buffered flush of the event clock.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlushRecord {
     /// What fired the flush.
@@ -346,8 +345,8 @@ pub struct FlushRecord {
 
 /// Round-level timing a scheduling backend attaches to a [`RoundOutcome`] —
 /// backend-agnostic: `Deadline` fills it with the slowest-survivor wall
-/// clock, `Async` with overlap accounting, `Streaming` additionally with a
-/// [`FlushRecord`].
+/// clock, the event clock (`Async`, `Streaming`) with overlap accounting
+/// and a [`FlushRecord`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct RoundTiming {
     /// Per-update timing, parallel to [`RoundOutcome::updates`].
@@ -356,14 +355,15 @@ pub struct RoundTiming {
     /// previous one. Overlap makes this *shorter* than the slowest client's
     /// duration: stragglers started under earlier versions.
     pub round_wall_seconds: f64,
-    /// Buffered-flush bookkeeping, present only on the streaming backend.
+    /// Buffered-flush bookkeeping, present only on the event clock
+    /// (`Async`, `Streaming`).
     pub flush: Option<FlushRecord>,
 }
 
 /// Everything a round executor reports back: one update per surviving
 /// participant (in participant order) plus the clients it dropped.
 ///
-/// The streaming backend relaxes the participant-order reading: its updates
+/// The event clock relaxes the participant-order reading: its updates
 /// are the *flushed buffer* in dispatch order — possibly fewer than this
 /// round's survivors (stragglers stay buffered) and possibly including
 /// clients dispatched in earlier rounds.
@@ -397,7 +397,7 @@ impl RoundOutcome {
     }
 
     /// Per-update staleness, parallel to [`RoundOutcome::updates`]: the
-    /// async scheduler's recorded values, or all zeros for synchronous
+    /// scheduler's recorded values, or all zeros for synchronous
     /// backends (every update trained on the freshest model).
     pub fn update_staleness(&self) -> Vec<usize> {
         match &self.timing {
@@ -552,9 +552,9 @@ impl RoundExecutor for ParallelExecutor {
 
 /// Resolves a sampled client's device profile and performs its availability
 /// draw for the round: `Ok(profile)` when the device is online, `Err(drop
-/// record)` when it is offline — the shared preamble of every scheduling
-/// backend ([`DeadlineExecutor`], [`AsyncExecutor`]), so drop accounting
-/// cannot diverge between them.
+/// record)` when it is offline — the shared preamble of both scheduling
+/// executors ([`DeadlineExecutor`], [`StreamingExecutor`]), so drop
+/// accounting cannot diverge between them.
 fn resolve_or_drop_offline(
     hetero: &HeterogeneityModel,
     client: &Client,
@@ -722,111 +722,12 @@ impl RoundExecutor for DeadlineExecutor {
     }
 }
 
-/// Internal clock state of the [`AsyncExecutor`], advanced once per round.
-///
-/// Version `v` is the global model after `v` aggregations; `version_open[v]`
-/// is the simulated time at which it became available (`version_open[0] =
-/// 0.0`). The executor keeps a **θ snapshot** of every version still inside
-/// the staleness window so stale dispatches can train against the exact
-/// parameters they downloaded: because only the trainable part is ever
-/// aggregated, the frozen backbone `ϕ` is identical across versions and a
-/// stale model is reconstructed as (current backbone, snapshotted θ) — an
-/// `O(|θ|)` snapshot per version instead of a full `O(|ϕ| + |θ|)` model
-/// clone, mirroring what a real client downloads.
-#[derive(Debug, Default)]
-struct AsyncClock {
-    /// Simulated opening time of every global-model version so far.
-    version_open: Vec<f64>,
-    /// Retained `(version, θ)` snapshots, ascending by version; only
-    /// versions within the staleness window of the current round are kept.
-    history: Vec<(usize, ParamVector)>,
-    /// Absolute simulated time until which each client's device is busy
-    /// training a previously dispatched round.
-    busy_until: HashMap<usize, f64>,
-    /// The round index the executor expects next (rounds must be executed
-    /// in order — the clock is cumulative).
-    next_round: usize,
-}
-
-/// Asynchronous bounded-staleness scheduling over a heterogeneous device
-/// population (event-driven simulated clock).
-///
-/// The executor maintains a virtual timeline of global-model *versions*:
-/// version `r` is the model [`AsyncExecutor::run_round`] receives for round
-/// `r`, created at simulated time `T_r` (`T_0 = 0`). For every sampled
-/// participant of round `r` it:
-///
-/// 1. drops the client with [`DropReason::Offline`] if its availability
-///    draw says the device is offline this round;
-/// 2. **dispatches** the client at `max(T_{r − max_staleness},
-///    busy_until)` — dispatch *stalls* until the oldest version the bound
-///    permits exists, which is exactly how the staleness bound is enforced;
-/// 3. trains the client against the freshest version already published at
-///    its dispatch time, recording `staleness = r − version`;
-/// 4. predicts the client's simulated duration from the cost model and its
-///    [`crate::device::DeviceProfile`] (the same deterministic formula the
-///    deadline scheduler uses) and schedules its arrival.
-///
-/// Round `r` closes — creating version `r + 1` — when the last of its
-/// updates arrives, but never before `T_r`; because stragglers were
-/// dispatched under earlier versions, the per-round wall clock shrinks as
-/// `max_staleness` grows. The survivors' updates are computed by the inner
-/// executor, grouped by the model version they were dispatched against, and
-/// returned in participant order with a [`RoundTiming`] attached so the
-/// server can discount them by staleness
-/// ([`crate::Server::aggregate_stale`]).
-///
-/// With `max_staleness = 0` every dispatch stalls until the current version
-/// exists, all offsets are zero and the outcome (updates, staleness, wall
-/// clock) is **bit-identical** to a synchronous round over
-/// [`SequentialExecutor`] — provided no device tier has an offline
-/// probability: availability draws still apply under async (like under
-/// [`DeadlineExecutor`]), while the sequential backend trains everyone.
-///
-/// # Contract
-///
-/// `run_round` must be called once per round, in round order, with the
-/// aggregated global model of the previous rounds — the order
-/// [`crate::Simulation`] guarantees. Successive models may differ only in
-/// their trainable part `θ` (which is all the server ever aggregates): the
-/// executor snapshots `θ` per version and reconstructs stale models against
-/// the current frozen backbone, exactly as a real client would combine its
-/// preinstalled backbone with a downloaded `θ`. Calling round 0 resets the
-/// clock, so one executor can serve consecutive runs.
-///
-/// Construct via [`ExecutionBackend::executor`]; `over(..)` exists for
-/// wrapping a custom inner executor in tests.
-#[derive(Debug)]
-pub struct AsyncExecutor {
-    max_staleness: usize,
-    inner: Box<dyn RoundExecutor>,
-    clock: Mutex<AsyncClock>,
-}
-
-impl AsyncExecutor {
-    /// Wraps an arbitrary inner executor. Results are identical for every
-    /// (correct) inner executor; only real wall-clock time differs.
-    pub fn over(max_staleness: usize, inner: impl RoundExecutor + 'static) -> Self {
-        AsyncExecutor {
-            max_staleness,
-            inner: Box::new(inner),
-            clock: Mutex::new(AsyncClock::default()),
-        }
-    }
-
-    /// The staleness bound this executor enforces.
-    pub fn max_staleness(&self) -> usize {
-        self.max_staleness
-    }
-}
-
 /// Trains `dispatched` clients — each annotated with the model version it
 /// downloaded — through `inner`, grouped by version, and returns their
-/// updates **in the order of `dispatched`**. Stale versions are
-/// reconstructed as (current backbone, snapshotted θ from `history`): only
-/// the trainable part ever differs between versions. Shared by the async
-/// and streaming backends so version-group reconstruction cannot diverge
-/// between them.
+/// updates **in the order of `dispatched`**. Version `round` is
+/// `global_model`; older versions are reconstructed as (current backbone,
+/// snapshotted θ from `history`): only the trainable part ever differs
+/// between versions.
 fn train_version_groups(
     inner: &dyn RoundExecutor,
     dispatched: &[(&Client, usize)],
@@ -834,7 +735,6 @@ fn train_version_groups(
     global_model: &BlockNet,
     config: &FlConfig,
     round: usize,
-    current_version: usize,
 ) -> Result<Vec<ClientUpdate>> {
     let mut updates: Vec<Option<ClientUpdate>> = (0..dispatched.len()).map(|_| None).collect();
     let mut versions: Vec<usize> = dispatched.iter().map(|&(_, v)| v).collect();
@@ -854,7 +754,7 @@ fn train_version_groups(
         // The current version is the model the caller just passed in; only
         // genuinely stale dispatches reconstruct one from the shared
         // backbone and the version's θ snapshot.
-        let model: &BlockNet = if v == current_version {
+        let model: &BlockNet = if v == round {
             global_model
         } else {
             let theta = &history
@@ -879,150 +779,11 @@ fn train_version_groups(
 }
 
 /// One surviving participant's dispatch decision, before training.
-struct AsyncDispatch<'c> {
+struct Dispatch<'c> {
     client: &'c Client,
     version: usize,
     dispatch_offset: f64,
     duration: f64,
-}
-
-impl RoundExecutor for AsyncExecutor {
-    fn name(&self) -> &'static str {
-        "async"
-    }
-
-    fn run_round(
-        &self,
-        participants: &[&Client],
-        global_model: &BlockNet,
-        config: &FlConfig,
-        round: usize,
-    ) -> Result<RoundOutcome> {
-        if participants.is_empty() {
-            return Err(FlError::NoParticipants { round });
-        }
-        let mut clock = self.clock.lock().expect("async clock lock poisoned");
-        if round == 0 {
-            *clock = AsyncClock::default();
-            clock.version_open.push(0.0);
-        } else if round != clock.next_round {
-            return Err(FlError::InvalidConfig {
-                what: format!(
-                    "async executor expected round {}, got {round}: bounded-staleness \
-                     rounds must run in order on one executor",
-                    clock.next_round
-                ),
-            });
-        }
-        let round_open = clock.version_open[round];
-        // Retain only the versions a round ≥ `round` may still dispatch
-        // against, then snapshot this round's θ as version `round` — except
-        // at max_staleness = 0, where no later round can ever read the
-        // snapshot (the current version is always `global_model`), so the
-        // per-round snapshot is skipped entirely. Only θ is stored: the
-        // frozen backbone never changes between versions (the server
-        // aggregates the trainable part alone), so a stale model is the
-        // current backbone plus the snapshotted θ.
-        clock
-            .history
-            .retain(|(v, _)| v + self.max_staleness >= round);
-        if self.max_staleness > 0 {
-            clock
-                .history
-                .push((round, global_model.trainable_vector(config.freeze)));
-        }
-
-        let hetero = &config.heterogeneity;
-        // Client-invariant inputs of the duration prediction, once per round.
-        let flops = global_model.flops_per_sample(config.freeze);
-        let traffic = crate::comm::round_traffic(global_model, config.freeze);
-
-        let mut drops: Vec<DroppedClient> = Vec::new();
-        let mut dispatches: Vec<AsyncDispatch> = Vec::with_capacity(participants.len());
-        let mut round_wall = 0.0_f64;
-        for &client in participants {
-            let profile = match resolve_or_drop_offline(hetero, client, round, config.seed) {
-                Ok(profile) => profile,
-                Err(drop) => {
-                    drops.push(drop);
-                    continue;
-                }
-            };
-            // Dispatch stalls until the oldest version the staleness bound
-            // permits exists, and until the device finished its previous
-            // dispatch — this is where `max_staleness` is enforced.
-            let earliest_version = round.saturating_sub(self.max_staleness);
-            let free_at = clock.busy_until.get(&client.id()).copied().unwrap_or(0.0);
-            let dispatch_at = clock.version_open[earliest_version].max(free_at);
-            // Train on the freshest version already published at dispatch
-            // time; `earliest_version` always qualifies, so the search
-            // cannot fail and staleness never exceeds the bound.
-            let version = (earliest_version..=round)
-                .rev()
-                .find(|&v| clock.version_open[v] <= dispatch_at)
-                .unwrap_or(earliest_version);
-            let duration = hetero.predicted_seconds_from_parts(
-                &profile,
-                &flops,
-                &traffic,
-                client.num_samples(),
-                config,
-            );
-            // All arithmetic is kept relative to `round_open` so that at
-            // max_staleness = 0 (offset exactly 0.0) the wall clock is
-            // bit-identical to the synchronous backends' accounting.
-            let dispatch_offset = dispatch_at - round_open;
-            round_wall = round_wall.max(dispatch_offset + duration);
-            clock
-                .busy_until
-                .insert(client.id(), round_open + (dispatch_offset + duration));
-            dispatches.push(AsyncDispatch {
-                client,
-                version,
-                dispatch_offset,
-                duration,
-            });
-        }
-        // The server can close the round the moment it opens if every update
-        // already arrived (or everyone was offline) — time never runs back.
-        round_wall = round_wall.max(0.0);
-
-        // Train survivors grouped by the model version they dispatched
-        // against; scattering the groups back by position restores
-        // participant order, so results match a one-by-one replay exactly.
-        let dispatched: Vec<(&Client, usize)> =
-            dispatches.iter().map(|d| (d.client, d.version)).collect();
-        let updates = train_version_groups(
-            self.inner.as_ref(),
-            &dispatched,
-            &clock.history,
-            global_model,
-            config,
-            round,
-            round,
-        )?;
-        let per_update: Vec<UpdateTiming> = dispatches
-            .iter()
-            .map(|d| UpdateTiming {
-                client_id: d.client.id(),
-                staleness: round - d.version,
-                dispatch_offset_seconds: d.dispatch_offset,
-                simulated_seconds: d.duration,
-            })
-            .collect();
-
-        clock.version_open.push(round_open + round_wall);
-        clock.next_round = round + 1;
-        Ok(RoundOutcome {
-            updates,
-            drops,
-            timing: Some(RoundTiming {
-                per_update,
-                round_wall_seconds: round_wall,
-                flush: None,
-            }),
-        })
-    }
 }
 
 /// One completed-or-in-flight update queued in the streaming buffer.
@@ -1037,8 +798,6 @@ struct PendingUpdate {
     update: ClientUpdate,
     /// Round the client was sampled in (its dispatch round).
     dispatch_round: usize,
-    /// Dispatch index within its round, for deterministic flush ordering.
-    position: usize,
     /// Model version the client trained against.
     version: usize,
     /// Dispatch time relative to the dispatch round's opening.
@@ -1047,24 +806,44 @@ struct PendingUpdate {
     duration: f64,
 }
 
-/// Internal clock state of the [`StreamingExecutor`]: the async event clock
-/// plus the server-side buffer of updates still awaiting aggregation.
+/// The event clock of the [`StreamingExecutor`], advanced once per round.
+///
+/// Version `v` is the global model after `v` aggregations; `version_open[v]`
+/// is the simulated time at which it became available (`version_open[0] =
+/// 0.0`). The clock keeps a **θ snapshot** of every version still inside
+/// the staleness window so stale dispatches can train against the exact
+/// parameters they downloaded: because only the trainable part is ever
+/// aggregated, the frozen backbone `ϕ` is identical across versions and a
+/// stale model is reconstructed as (current backbone, snapshotted θ) — an
+/// `O(|θ|)` snapshot per version instead of a full `O(|ϕ| + |θ|)` model
+/// clone, mirroring what a real client downloads.
 #[derive(Debug, Default)]
-struct StreamingClock {
+struct EventClock {
+    /// Simulated opening time of every global-model version so far.
     version_open: Vec<f64>,
+    /// Retained `(version, θ)` snapshots, ascending by version; only
+    /// versions within the staleness window of the current round are kept.
     history: Vec<(usize, ParamVector)>,
+    /// Absolute simulated time until which each client's device is busy
+    /// training a previously dispatched round.
     busy_until: HashMap<usize, f64>,
+    /// The round index the executor expects next (rounds must be executed
+    /// in order — the clock is cumulative).
     next_round: usize,
+    /// The server-side buffer: updates dispatched but not yet flushed.
     pending: Vec<PendingUpdate>,
 }
 
-/// Streaming serving mode: continuous buffered aggregation over a client
-/// arrival process (FedBuff-style), on the same event-driven simulated
-/// clock as [`AsyncExecutor`].
+/// Event-driven simulated clock with bounded staleness and buffered
+/// (FedBuff-style) aggregation — the executor behind both
+/// [`ExecutionBackend::Async`] and [`ExecutionBackend::Streaming`].
 ///
-/// Each round `r` models one *flush interval* of a continuously serving
-/// aggregator. The cohort sampled for round `r` is invited the moment the
-/// staleness bound allows (`T_{r − max_staleness}`); each client then
+/// Version `r` is the model `run_round` receives for round `r`, published
+/// at simulated time `T_r` (`T_0 = 0`). Each round models one *flush
+/// interval* of a continuously serving aggregator. The cohort sampled for
+/// round `r` is invited at `T_{r − max_staleness}` — dispatch *stalls*
+/// until the oldest version the bound permits exists, which is how the
+/// staleness bound is enforced. Each client then
 ///
 /// 1. is dropped with [`DropReason::Offline`] if its availability draw says
 ///    so (same stream as every scheduling backend);
@@ -1073,43 +852,56 @@ struct StreamingClock {
 ///    `"client-arrival"` stream, and dispatches once it has also finished
 ///    any previous work (`busy_until`);
 /// 3. trains against the freshest model version published at its dispatch
-///    time (dispatch staleness never exceeds `max_staleness`, exactly as
-///    under [`AsyncExecutor`]);
-/// 4. completes after its predicted device-adjusted duration, and its
-///    update joins the server's **buffer**.
+///    time, so dispatch staleness never exceeds `max_staleness`;
+/// 4. completes after its predicted device-adjusted duration (the same
+///    deterministic cost-model formula the deadline scheduler uses), and
+///    its update joins the server's **buffer**.
 ///
-/// The round closes at the earliest flush condition: the
-/// [`StreamingParams::buffer_size`]-th buffered completion
+/// The round closes — publishing version `r + 1` — at the earliest flush
+/// condition: the [`StreamingParams::buffer_size`]-th buffered completion
 /// ([`FlushTrigger::BufferFull`]), the flush timer
 /// [`StreamingParams::flush_seconds`] after the round opened
 /// ([`FlushTrigger::Timeout`]), or — when neither can fire — the last
 /// completion in flight ([`FlushTrigger::Drain`]). Every buffered update
-/// completed by the flush time is aggregated, ordered by
-/// `(dispatch_round, position)`; updates still in flight stay buffered for
+/// completed by the flush time is aggregated in dispatch order (round,
+/// then participant position); updates still in flight stay buffered for
 /// a later flush, so their staleness at aggregation (`flush round −
 /// version`) can exceed the *dispatch* bound — FedBuff semantics, and the
-/// discount ([`crate::Server::aggregate_buffered`]) uses the actual lag.
+/// discount ([`crate::Server::aggregate_stale`]) uses the actual lag.
 /// Updates still buffered when the run ends are never aggregated, like a
-/// real server shutting down mid-stream.
+/// real server shutting down mid-stream. Survivors are trained by the inner
+/// executor, grouped by the model version they were dispatched against.
 ///
-/// With `buffer_size =` cohort size, steady arrivals and staleness bound 0,
-/// every cohort completes within its own round and flushes in participant
-/// order with zero staleness: histories are **bit-identical** to
-/// [`SequentialExecutor`] (availability caveats as for async), pinned by
+/// `Async { max_staleness: s }` is this executor over
+/// `StreamingParams::new(usize::MAX).with_max_staleness(s)`: steady
+/// arrivals and a buffer that never fills, so every round drains at its
+/// last completion; stragglers dispatched under earlier versions make the
+/// per-round wall clock shrink as `s` grows. At `s = 0` it — like
+/// `buffer_size =` cohort size with steady arrivals — is **bit-identical**
+/// to [`SequentialExecutor`], provided no device tier has an offline
+/// probability (availability draws apply here, as under
+/// [`DeadlineExecutor`]). Pinned by `tests/async_staleness_e2e.rs` and
 /// `tests/streaming_e2e.rs`.
 ///
 /// # Contract
 ///
-/// Like [`AsyncExecutor`]: rounds must run in order, successive models may
-/// differ only in θ, and round 0 resets the clock (dropping any buffered
-/// updates of a previous run). Construct via
-/// [`ExecutionBackend::executor`]; `over(..)` exists for wrapping a custom
-/// inner executor in tests.
+/// `run_round` must be called once per round, in round order, with the
+/// aggregated global model of the previous rounds — the order
+/// [`crate::Simulation`] guarantees. Successive models may differ only in
+/// their trainable part `θ` (which is all the server ever aggregates): the
+/// clock snapshots `θ` per version and reconstructs stale models against
+/// the current frozen backbone, exactly as a real client would combine its
+/// preinstalled backbone with a downloaded `θ`. Calling round 0 resets the
+/// clock (dropping any buffered updates of a previous run), so one executor
+/// can serve consecutive runs.
+///
+/// Construct via [`ExecutionBackend::executor`]; `over(..)` exists for
+/// wrapping a custom inner executor in tests.
 #[derive(Debug)]
 pub struct StreamingExecutor {
     params: StreamingParams,
     inner: Box<dyn RoundExecutor>,
-    clock: Mutex<StreamingClock>,
+    clock: Mutex<EventClock>,
 }
 
 impl StreamingExecutor {
@@ -1119,7 +911,7 @@ impl StreamingExecutor {
         StreamingExecutor {
             params,
             inner: Box::new(inner),
-            clock: Mutex::new(StreamingClock::default()),
+            clock: Mutex::new(EventClock::default()),
         }
     }
 
@@ -1131,7 +923,14 @@ impl StreamingExecutor {
 
 impl RoundExecutor for StreamingExecutor {
     fn name(&self) -> &'static str {
-        "streaming"
+        // The parameterisation `ExecutionBackend::Async` builds.
+        let asynchronous =
+            StreamingParams::new(usize::MAX).with_max_staleness(self.params.max_staleness);
+        if self.params == asynchronous {
+            "async"
+        } else {
+            "streaming"
+        }
     }
 
     fn run_round(
@@ -1144,23 +943,26 @@ impl RoundExecutor for StreamingExecutor {
         if participants.is_empty() {
             return Err(FlError::NoParticipants { round });
         }
-        let mut clock = self.clock.lock().expect("streaming clock lock poisoned");
+        let mut clock = self.clock.lock().expect("event clock lock poisoned");
         if round == 0 {
-            *clock = StreamingClock::default();
+            *clock = EventClock::default();
             clock.version_open.push(0.0);
         } else if round != clock.next_round {
             return Err(FlError::InvalidConfig {
                 what: format!(
-                    "streaming executor expected round {}, got {round}: buffered \
-                     aggregation rounds must run in order on one executor",
+                    "{} executor expected round {}, got {round}: event-clock rounds must \
+                     run in order on one executor",
+                    self.name(),
                     clock.next_round
                 ),
             });
         }
         let round_open = clock.version_open[round];
-        // Same retention discipline as the async clock; the snapshot is
-        // skipped at max_staleness = 0, where every dispatch reads the
-        // current model.
+        // Retain only the versions a round ≥ `round` may still dispatch
+        // against, then snapshot this round's θ as version `round` — except
+        // at max_staleness = 0, where no later round can ever read the
+        // snapshot (the current version is always `global_model`), so the
+        // per-round snapshot is skipped entirely.
         clock
             .history
             .retain(|(v, _)| v + self.params.max_staleness >= round);
@@ -1171,13 +973,15 @@ impl RoundExecutor for StreamingExecutor {
         }
 
         let hetero = &config.heterogeneity;
+        // Client-invariant inputs of the duration prediction, once per round.
         let flops = global_model.flops_per_sample(config.freeze);
         let traffic = crate::comm::round_traffic(global_model, config.freeze);
 
         // Phase 1 — dispatch this round's arrivals.
         let mut drops: Vec<DroppedClient> = Vec::new();
-        let mut dispatches: Vec<AsyncDispatch> = Vec::with_capacity(participants.len());
-        let invite_at = clock.version_open[round.saturating_sub(self.params.max_staleness)];
+        let mut dispatches: Vec<Dispatch> = Vec::with_capacity(participants.len());
+        let earliest_version = round.saturating_sub(self.params.max_staleness);
+        let invite_at = clock.version_open[earliest_version];
         for &client in participants {
             let profile = match resolve_or_drop_offline(hetero, client, round, config.seed) {
                 Ok(profile) => profile,
@@ -1186,10 +990,9 @@ impl RoundExecutor for StreamingExecutor {
                     continue;
                 }
             };
-            // The client arrives some time after the invitation and must
-            // also have finished any previously dispatched work. Steady
-            // arrivals contribute exactly 0.0, reproducing the async
-            // dispatch rule bit for bit.
+            // The client arrives some time after the invitation (steady
+            // arrivals contribute exactly 0.0) and must also have finished
+            // any previously dispatched work.
             let arrival_offset =
                 self.params
                     .arrival
@@ -1199,7 +1002,6 @@ impl RoundExecutor for StreamingExecutor {
             // Freshest version already published at dispatch time; the
             // invitation version always qualifies, so dispatch staleness
             // never exceeds the bound.
-            let earliest_version = round.saturating_sub(self.params.max_staleness);
             let version = (earliest_version..=round)
                 .rev()
                 .find(|&v| clock.version_open[v] <= dispatch_at)
@@ -1211,8 +1013,16 @@ impl RoundExecutor for StreamingExecutor {
                 client.num_samples(),
                 config,
             );
+            // `busy_until` is compared with absolute version times in later
+            // rounds' version search, so it is stored absolute with a
+            // single rounding. Rebuilding it from round-relative offsets
+            // (`round_open + (offset + duration)`) rounds three times and
+            // can land an ulp off, flipping which version a tied dispatch
+            // trains on. Offsets are kept only for what is reported against
+            // a round — dispatch offset and wall clock — where they make
+            // `s = 0` bit-identical to the synchronous backends.
             clock.busy_until.insert(client.id(), dispatch_at + duration);
-            dispatches.push(AsyncDispatch {
+            dispatches.push(Dispatch {
                 client,
                 version,
                 dispatch_offset: dispatch_at - round_open,
@@ -1225,30 +1035,23 @@ impl RoundExecutor for StreamingExecutor {
         // back to dispatch order) and queue them in the buffer.
         let dispatched: Vec<(&Client, usize)> =
             dispatches.iter().map(|d| (d.client, d.version)).collect();
-        let trained = if dispatched.is_empty() {
-            Vec::new()
-        } else {
-            train_version_groups(
-                self.inner.as_ref(),
-                &dispatched,
-                &clock.history,
-                global_model,
-                config,
-                round,
-                round,
-            )?
-        };
-        for (position, (dispatch, update)) in dispatches.iter().zip(trained).enumerate() {
+        let trained = train_version_groups(
+            self.inner.as_ref(),
+            &dispatched,
+            &clock.history,
+            global_model,
+            config,
+            round,
+        )?;
+        for (dispatch, update) in dispatches.iter().zip(trained) {
             clock.pending.push(PendingUpdate {
                 update,
                 dispatch_round: round,
-                position,
                 version: dispatch.version,
                 dispatch_offset: dispatch.dispatch_offset,
                 duration: dispatch.duration,
             });
         }
-
         // Phase 3 — decide the flush time, working in offsets relative to
         // this round's opening. An entry dispatched in an earlier round is
         // rebased through the gap between the two openings; an entry
@@ -1290,21 +1093,15 @@ impl RoundExecutor for StreamingExecutor {
         let flush_offset = flush_offset.max(0.0);
 
         // Phase 4 — flush every buffered update completed by the flush
-        // time, in dispatch order (round, then position): deterministic,
-        // and in the degenerate configuration exactly participant order.
-        let mut flushed: Vec<PendingUpdate> = Vec::new();
-        let mut remaining: Vec<PendingUpdate> = Vec::with_capacity(clock.pending.len());
-        let version_open = std::mem::take(&mut clock.version_open);
-        for entry in clock.pending.drain(..) {
-            if completion_offset(&entry, &version_open) <= flush_offset {
-                flushed.push(entry);
-            } else {
-                remaining.push(entry);
-            }
-        }
-        clock.version_open = version_open;
+        // time. The buffer is appended in dispatch order (round, then
+        // participant position) and partitioning keeps that order, so the
+        // flush is deterministic and, in the degenerate configuration,
+        // exactly participant order.
+        let (flushed, remaining): (Vec<PendingUpdate>, Vec<PendingUpdate>) =
+            std::mem::take(&mut clock.pending)
+                .into_iter()
+                .partition(|p| completion_offset(p, &clock.version_open) <= flush_offset);
         clock.pending = remaining;
-        flushed.sort_by_key(|p| (p.dispatch_round, p.position));
         let carried = flushed.iter().filter(|p| p.dispatch_round < round).count();
         let flush = FlushRecord {
             trigger,
@@ -1324,16 +1121,15 @@ impl RoundExecutor for StreamingExecutor {
             })
             .collect();
         let updates: Vec<ClientUpdate> = flushed.into_iter().map(|p| p.update).collect();
-        let round_wall = flush_offset;
 
-        clock.version_open.push(round_open + round_wall);
+        clock.version_open.push(round_open + flush_offset);
         clock.next_round = round + 1;
         Ok(RoundOutcome {
             updates,
             drops,
             timing: Some(RoundTiming {
                 per_update,
-                round_wall_seconds: round_wall,
+                round_wall_seconds: flush_offset,
                 flush: Some(flush),
             }),
         })
@@ -1416,7 +1212,9 @@ mod tests {
             Err(FlError::NoParticipants { round: 4 })
         ));
         assert!(matches!(
-            AsyncExecutor::over(1, SequentialExecutor).run_round(&[], &m, &c, 0),
+            ExecutionBackend::Async { max_staleness: 1 }
+                .executor()
+                .run_round(&[], &m, &c, 0),
             Err(FlError::NoParticipants { round: 0 })
         ));
         assert!(matches!(
@@ -1554,7 +1352,7 @@ mod tests {
             .with_heterogeneity(HeterogeneityModel::two_tier())
             .with_seed(3);
         let reference = SequentialExecutor.run_round(&refs, &m, &c, 0).unwrap();
-        let executor = AsyncExecutor::over(0, SequentialExecutor);
+        let executor = ExecutionBackend::Async { max_staleness: 0 }.executor();
         let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
         assert_eq!(reference.updates, outcome.updates);
         assert!(outcome.drops.is_empty());
@@ -1590,7 +1388,10 @@ mod tests {
         };
         let mut wall = HashMap::new();
         for bound in [0usize, 2] {
-            let executor = AsyncExecutor::over(bound, SequentialExecutor);
+            let executor = ExecutionBackend::Async {
+                max_staleness: bound,
+            }
+            .executor();
             let mut model = m.clone();
             let mut total_wall = 0.0;
             let mut saw_stale = false;
@@ -1636,14 +1437,15 @@ mod tests {
         let refs: Vec<&Client> = clients.iter().collect();
         let m = model();
         let c = config();
-        let executor = AsyncExecutor::over(1, SequentialExecutor);
+        let executor = ExecutionBackend::Async { max_staleness: 1 }.executor();
         executor.run_round(&refs, &m, &c, 0).unwrap();
         let err = executor.run_round(&refs, &m, &c, 2).unwrap_err();
         assert!(matches!(err, FlError::InvalidConfig { .. }));
         // Round 0 resets the clock, so a fresh run on the same executor works.
         executor.run_round(&refs, &m, &c, 0).unwrap();
         executor.run_round(&refs, &m, &c, 1).unwrap();
-        assert_eq!(executor.max_staleness(), 1);
+        // The boxed executor carries the configured staleness bound.
+        assert!(format!("{executor:?}").contains("max_staleness: 1"));
     }
 
     #[test]
@@ -1655,7 +1457,7 @@ mod tests {
             crate::DeviceTier::new("flaky", 1.0, 1.0).with_drop_probability(0.9)
         ]);
         let c = config().with_heterogeneity(flaky).with_seed(9);
-        let executor = AsyncExecutor::over(1, SequentialExecutor);
+        let executor = ExecutionBackend::Async { max_staleness: 1 }.executor();
         let outcome = executor.run_round(&refs, &m, &c, 0).unwrap();
         assert_eq!(outcome.updates.len() + outcome.drops.len(), 6);
         assert!(

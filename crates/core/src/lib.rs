@@ -21,20 +21,21 @@
 //!   deadline — making the paper's straggler effect *emergent* instead of a
 //!   fixed participation fraction.
 //! * **Asynchronous bounded-staleness rounds** — an event-driven
-//!   [`executor::AsyncExecutor`] overlaps aggregation rounds instead of
+//!   [`executor::StreamingExecutor`] overlaps aggregation rounds instead of
 //!   dropping stragglers: clients train against the global-model version
 //!   available at dispatch (at most `max_staleness` versions behind) and
 //!   [`Server::aggregate_stale`] discounts stale updates; `max_staleness =
 //!   0` (with no offline probability) reproduces the synchronous backends
 //!   bit for bit.
-//! * **Streaming serving mode** — a [`executor::StreamingExecutor`] turns
-//!   rounds into continuous update traffic: clients arrive per a pluggable
+//! * **Streaming serving mode** — the same event clock turns rounds into
+//!   continuous update traffic: clients arrive per a pluggable
 //!   [`device::ArrivalModel`] (steady/burst/diurnal, on a dedicated seeded
 //!   RNG stream), train on the freshest model at dispatch, and the server
 //!   flushes its buffer FedBuff-style every `K` updates or `T` simulated
-//!   seconds ([`Server::aggregate_buffered`]); the degenerate configuration
-//!   (`K` = cohort size, steady arrivals, staleness bound 0) reproduces the
-//!   synchronous backends bit for bit.
+//!   seconds ([`Server::aggregate_stale`] over the flushed buffer); the
+//!   degenerate configuration (`K` = cohort size, steady arrivals,
+//!   staleness bound 0) reproduces the synchronous backends bit for bit,
+//!   and `Async` is the same clock with a buffer that never fills.
 //! * **Logical client pools & shard-deduplicated caching** — a
 //!   [`simulation::ClientPool`] maps `N` simulated clients onto `M ≪ N`
 //!   physical shards, and a shared [`cache::CacheRegistry`] (keyed by
@@ -104,8 +105,8 @@ pub use cost::CostModel;
 pub use device::{ArrivalModel, DeviceProfile, DeviceTier, HeterogeneityModel};
 pub use error::FlError;
 pub use executor::{
-    AsyncExecutor, DeadlineExecutor, DropReason, DroppedClient, ExecutionBackend, FlushRecord,
-    FlushTrigger, ParallelExecutor, RoundExecutor, RoundOutcome, RoundTiming, SequentialExecutor,
+    DeadlineExecutor, DropReason, DroppedClient, ExecutionBackend, FlushRecord, FlushTrigger,
+    ParallelExecutor, RoundExecutor, RoundOutcome, RoundTiming, SequentialExecutor,
     StreamingExecutor, StreamingParams, UpdateTiming,
 };
 pub use methods::Method;

@@ -74,9 +74,9 @@ pub struct RoundRecord {
     /// this round — never exceeds
     /// [`crate::FlConfig::cache_budget_bytes`] when a budget is set.
     pub cache_peak_bytes: usize,
-    /// The streaming backend's flush bookkeeping for this round: what fired
-    /// the flush, how full the buffer was, and how many updates were carried
-    /// over or left pending. `None` under every non-streaming backend.
+    /// The `Async`/`Streaming` event clock's flush bookkeeping for this
+    /// round: what fired the flush, how full the buffer was, and how many
+    /// updates were carried over or left pending. `None` otherwise.
     pub flush: Option<FlushRecord>,
 }
 
@@ -287,8 +287,9 @@ impl RunResult {
             .collect()
     }
 
-    /// Number of rounds that recorded a buffer flush (every round of a
-    /// streaming run; zero otherwise).
+    /// Number of rounds that recorded a buffer flush: every round of an
+    /// `Async` run (each a [`FlushTrigger::Drain`]) or `Streaming` run; zero
+    /// on the synchronous and deadline backends.
     pub fn flush_count(&self) -> usize {
         self.rounds.iter().filter(|r| r.flush.is_some()).count()
     }

@@ -141,7 +141,7 @@ impl Server {
 
     /// Aggregates client updates whose `staleness[i]` records how many
     /// global-model versions update `i` lagged behind this round (produced
-    /// by [`crate::executor::AsyncExecutor`]).
+    /// by the event clock, [`crate::executor::StreamingExecutor`]).
     ///
     /// Weights are proportional to `selected_samples ×`
     /// [`Server::staleness_discount`], normalised over the participants —

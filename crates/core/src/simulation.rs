@@ -251,14 +251,11 @@ impl Simulation {
             let updates = &outcome.updates;
             let update_staleness = outcome.update_staleness();
 
-            let is_flush = outcome.timing.as_ref().is_some_and(|t| t.flush.is_some());
             if !updates.is_empty() {
-                // All-fresh rounds (every synchronous backend, and async
-                // ones that kept up) delegate to the plain path inside
+                // All-fresh rounds (every synchronous backend, and event-clock
+                // flushes that kept up) delegate to the plain path inside
                 // `aggregate_stale`, so this is bit-identical to the
-                // pre-async aggregation whenever no update is stale. A
-                // streaming flush goes through the buffered entry point,
-                // which applies the same rule to the flushed buffer.
+                // pre-async aggregation whenever no update is stale.
                 let theta = if self.config.tier_freeze.is_some() {
                     // Per-tier freezes upload θ vectors of differing length;
                     // align each as a suffix of the global θ. (Validation
@@ -266,8 +263,6 @@ impl Simulation {
                     // every update is fresh.)
                     let current = global_model.trainable_vector(self.config.freeze);
                     server.aggregate_mixed(updates, &current, round)?
-                } else if is_flush {
-                    server.aggregate_buffered(updates, &update_staleness, round)?
                 } else {
                     server.aggregate_stale(updates, &update_staleness, round)?
                 };
@@ -662,7 +657,22 @@ mod tests {
             .unwrap()
             .run(&fed, &model)
             .unwrap();
-        assert_eq!(sequential.rounds, zero.rounds);
+        // Async rounds close by draining the whole buffer; strip that flush
+        // record and every other field must match.
+        let drained: Vec<RoundRecord> = zero
+            .rounds
+            .iter()
+            .map(|r| {
+                let flush = r.flush.as_ref().expect("async rounds record a flush");
+                assert_eq!(flush.trigger, crate::FlushTrigger::Drain);
+                assert!(flush.carried == 0 && flush.remaining == 0);
+                RoundRecord {
+                    flush: None,
+                    ..r.clone()
+                }
+            })
+            .collect();
+        assert_eq!(sequential.rounds, drained);
         assert_eq!(sequential.label, zero.label);
         assert_eq!(zero.max_update_staleness(), 0);
     }

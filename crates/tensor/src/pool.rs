@@ -556,17 +556,33 @@ mod tests {
     #[test]
     fn parked_workers_actually_participate() {
         let pool = test_pool();
-        let threads: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        // Many short dispatches: over 200 jobs of 4 chunks each, at least
-        // one chunk lands on a parked worker with overwhelming likelihood
-        // (workers race the dispatching thread for the claim cursor).
-        for _ in 0..200 {
-            run_on(pool, 4, 1, &|_range: Range<usize>| {
-                threads.lock().unwrap().insert(std::thread::current().id());
-            });
-        }
-        assert!(
-            threads.into_inner().unwrap().len() > 1,
+        // One job of two chunks, each of which waits until two distinct
+        // threads have arrived. The dispatcher runs one chunk at a time, so
+        // the job can only complete if a parked worker wakes and claims the
+        // other chunk; the deadline turns "never woke" into a failure
+        // instead of a hang.
+        let arrived: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let both_arrived = Condvar::new();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let met = run_on(pool, 2, 1, &|_range: Range<usize>| {
+            let mut threads = arrived.lock().unwrap();
+            threads.insert(std::thread::current().id());
+            both_arrived.notify_all();
+            while threads.len() < 2 {
+                let now = std::time::Instant::now();
+                if now >= deadline {
+                    return false;
+                }
+                threads = both_arrived
+                    .wait_timeout(threads, deadline - now)
+                    .unwrap()
+                    .0;
+            }
+            true
+        });
+        assert_eq!(
+            met,
+            vec![true, true],
             "no parked worker ever claimed a chunk"
         );
     }

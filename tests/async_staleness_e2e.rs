@@ -1,17 +1,19 @@
 //! End-to-end tests of asynchronous bounded-staleness execution.
 //!
-//! The determinism contract PR 1/PR 2 established for every backend extends
-//! to the async executor: `ExecutionBackend::Async { max_staleness: 0 }`
-//! stalls every dispatch until the fresh global model exists and must
-//! reproduce the `SequentialExecutor` round history **bit for bit** — on a
-//! homogeneous pool and on a heterogeneous two-tier mix alike. Relaxing the
-//! bound overlaps rounds: staleness appears (never above the bound, checked
+//! The determinism contract every backend keeps extends to async execution:
+//! `ExecutionBackend::Async { max_staleness: 0 }` stalls every dispatch
+//! until the fresh global model exists and must reproduce the
+//! `SequentialExecutor` round history **bit for bit** — on a homogeneous
+//! pool and on a heterogeneous two-tier mix alike. Relaxing the bound
+//! overlaps rounds: staleness appears (never above the bound, checked
 //! property-style across bounds and seeds), the staleness-discounted
 //! aggregation weights stay convex, and the simulated wall clock shrinks.
+//! `Async(s)` runs on the streaming event clock, so it must also equal
+//! `Streaming` with a cohort-deep buffer, steady arrivals and bound `s`.
 
 use fedft::core::{
-    ClientUpdate, ExecutionBackend, FlConfig, HeterogeneityModel, Method, RunResult, Server,
-    Simulation,
+    ClientUpdate, ExecutionBackend, FlConfig, FlushTrigger, HeterogeneityModel, Method,
+    ParticipationModel, RoundRecord, RunResult, Server, Simulation, StreamingParams,
 };
 use fedft::data::federated::PartitionScheme;
 use fedft::data::{domains, FederatedDataset};
@@ -59,6 +61,30 @@ fn run(config: FlConfig, fed: &FederatedDataset, model: &BlockNet) -> RunResult 
         .expect("simulation succeeds")
 }
 
+/// An async run's rounds with the flush record stripped — every other field
+/// stays in the comparison. Async runs on the event clock with a buffer that
+/// never fills, so every round must record a drain that flushed the whole
+/// buffer: nothing carried in, nothing left in flight.
+fn without_drain_flush(result: &RunResult) -> Vec<RoundRecord> {
+    result
+        .rounds
+        .iter()
+        .map(|record| {
+            let flush = record.flush.as_ref().expect("async rounds record a flush");
+            assert_eq!(flush.trigger, FlushTrigger::Drain, "round {}", record.round);
+            assert!(
+                flush.carried == 0 && flush.remaining == 0,
+                "round {}: {flush:?}",
+                record.round
+            );
+            RoundRecord {
+                flush: None,
+                ..record.clone()
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn zero_staleness_is_bit_identical_to_the_sequential_executor() {
     let (fed, model) = setup();
@@ -77,7 +103,7 @@ fn zero_staleness_is_bit_identical_to_the_sequential_executor() {
             &model,
         );
         let zero = run(config.with_async(0), &fed, &model);
-        assert_eq!(sequential.rounds, zero.rounds);
+        assert_eq!(sequential.rounds, without_drain_flush(&zero));
         assert_eq!(sequential.label, zero.label);
         assert_eq!(zero.max_update_staleness(), 0);
         assert!(zero
@@ -105,14 +131,15 @@ fn zero_staleness_with_offline_draws_matches_the_deadline_backend() {
         &model,
     );
     let zero = run(config.clone().with_async(0), &fed, &model);
-    assert_eq!(deadline.rounds, zero.rounds);
+    assert_eq!(deadline.rounds, without_drain_flush(&zero));
     assert!(
         zero.total_dropped_clients() > 0,
         "a 30% offline probability over 6 rounds must produce drops"
     );
     let sequential = run(config.serial(), &fed, &model);
     assert_ne!(
-        sequential.rounds, zero.rounds,
+        sequential.rounds,
+        without_drain_flush(&zero),
         "sequential ignores availability, so histories must diverge"
     );
 }
@@ -238,4 +265,50 @@ fn overlap_shrinks_the_simulated_wall_clock() {
 fn async_with_finite_deadline_is_rejected_at_construction() {
     let config = base_config().with_async(2).with_deadline(5.0);
     assert!(Simulation::new(config).is_err());
+}
+
+#[test]
+fn async_is_streaming_with_a_cohort_deep_buffer() {
+    let (fed, model) = setup();
+    // `Async(s)` is the streaming event clock with a buffer that never
+    // fills. A cohort-deep buffer fires `BufferFull` at the same instant a
+    // never-filling one drains (the cohort's last completion), so the
+    // learning histories must agree bit for bit across participation,
+    // device mixes and staleness bounds. Seeds 0 and 4 on the two-tier mix
+    // and 10 and 11 on the three-tier mix, at p = 0.5 and s = 3, hit a
+    // tie where rounding `busy_until` differently reorders dispatch.
+    let mixes = [
+        ("uniform", HeterogeneityModel::uniform()),
+        ("two-tier", HeterogeneityModel::two_tier()),
+        ("three-tier", HeterogeneityModel::three_tier()),
+    ];
+    for seed in [0u64, 4, 10, 11] {
+        for participation in [1.0, 0.5] {
+            let cohort = ParticipationModel::new(participation)
+                .expect("valid participation")
+                .participants_per_round(CLIENTS);
+            for (mix, hetero) in &mixes {
+                for max_staleness in 0..=3 {
+                    let config = base_config()
+                        .with_rounds(10)
+                        .with_seed(seed)
+                        .with_participation(participation)
+                        .with_heterogeneity(hetero.clone());
+                    let asynchronous = run(config.clone().with_async(max_staleness), &fed, &model);
+                    let streaming = run(
+                        config.with_streaming(
+                            StreamingParams::new(cohort).with_max_staleness(max_staleness),
+                        ),
+                        &fed,
+                        &model,
+                    );
+                    assert_eq!(
+                        asynchronous.learning_history(),
+                        streaming.learning_history(),
+                        "seed {seed}, p = {participation}, {mix}, s = {max_staleness}"
+                    );
+                }
+            }
+        }
+    }
 }
