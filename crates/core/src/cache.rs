@@ -5,10 +5,10 @@
 //! changes during a federated run (the server only aggregates the trainable
 //! part `θ`). The boundary activations `ϕ(x)` of the client's local data are
 //! therefore **round-invariant**, yet the uncached simulator recomputes them
-//! for every batch of every epoch of every round — plus once more for the
-//! entropy-selection pass. PR 4 memoised them per client; PR 5 went one step
-//! further for *logical client pools* (N simulated clients over M ≪ N
-//! physical shards): a [`CacheRegistry`] keyed by
+//! once per client update, every round (one frozen forward that selection
+//! scoring and every training batch share). The cache memoises them per
+//! client, and goes one step further for *logical client pools* (N
+//! simulated clients over M ≪ N physical shards): a [`CacheRegistry`] keyed by
 //! `(source_checksum, frozen_fingerprint, freeze_level)` lets every logical
 //! client that holds the same shard share one `Arc<Matrix>` of activations,
 //! so cache memory scales with **distinct shards**, not with clients.
@@ -53,7 +53,7 @@
 //!   (note the granularity: with `S` shards the largest retainable entry is
 //!   about `budget / S` bytes).
 //! * **Bit-identity.** Cached rows are produced by the same kernels on the
-//!   same inputs as the uncached per-batch forward (and every kernel
+//!   same inputs as the uncached per-update forward (and every kernel
 //!   accumulates in a row-partition-invariant order), so training from
 //!   cached rows is bit-identical to recomputing them — the contract
 //!   `tests/feature_cache_e2e.rs`, `tests/logical_pool_e2e.rs` and

@@ -110,7 +110,10 @@ impl Client {
     /// clones the frozen backbone: `ϕ` is read through the shared reference
     /// (and, with [`FlConfig::feature_cache`] on, through cached boundary
     /// activations), while local training works on a private `O(|θ|)`
-    /// [`fedft_nn::SuffixNet`] snapshot of the trainable part. Returns the
+    /// [`fedft_nn::SuffixNet`] snapshot of the trainable part. With the
+    /// cache off, `ϕ` runs at most once per update — over the whole shard
+    /// for a scoring policy, over the selected rows otherwise — and every
+    /// training batch gathers its rows from that one boundary. Returns the
     /// uploaded [`ClientUpdate`].
     ///
     /// # Errors
@@ -129,14 +132,28 @@ impl Client {
                 what: format!("client {} has no local data to select from", self.id),
             });
         }
-        // At FreezeLevel::Full there is no frozen prefix: the boundary is
-        // the raw input, so caching it would only duplicate the dataset.
-        let use_cache = config.feature_cache && freeze.frozen_blocks() > 0;
-        let cached_boundary: Option<Arc<Matrix>> = if use_cache {
-            Some(
-                self.cache
-                    .get_or_build(global_model, freeze, self.data.features())?,
-            )
+        let features = self.data.features();
+        let policy = config.selection.policy();
+
+        // --- Boundary activations ϕ(x), resolved once per update: ϕ is
+        // frozen for the whole round, so every training batch gathers its
+        // rows from one matrix instead of re-running the frozen prefix. A
+        // full-shard boundary is a cache hit, the raw features (no frozen
+        // prefix — at FreezeLevel::Full caching would only duplicate the
+        // dataset), or, for a scoring policy, one frozen forward over the
+        // shard that scoring and every epoch share. A model-free policy
+        // (All/Random) never scores, so its boundary is built after
+        // selection over the selected rows only (below).
+        let cached: Arc<Matrix>;
+        let scored: Matrix;
+        let shard_boundary: Option<&Matrix> = if freeze.frozen_blocks() == 0 {
+            Some(features)
+        } else if config.feature_cache {
+            cached = self.cache.get_or_build(global_model, freeze, features)?;
+            Some(&cached)
+        } else if policy.needs_inference_pass() {
+            scored = global_model.forward_frozen(freeze, features)?;
+            Some(&scored)
         } else {
             None
         };
@@ -146,49 +163,36 @@ impl Client {
         let mut suffix = global_model.trainable_suffix(freeze);
 
         // --- Data selection (Equations 2-3, hardened softmax Equation 6),
-        // through the pluggable policy layer. The context resolves boundary
-        // activations lazily: model-free policies (All/Random) never touch
-        // the model, score-based policies see either the cached boundary,
-        // the raw features (no frozen prefix), or a one-off frozen forward
-        // pass — the exact three paths the pre-policy dispatch took.
-        let selected_indices = {
-            let policy = config.selection.policy();
-            let mut ctx = match &cached_boundary {
-                Some(boundary) => SelectionContext::with_boundary(
-                    &mut suffix,
-                    boundary,
-                    self.data.labels(),
-                    round,
-                    self.id,
-                    config.seed,
-                ),
-                // No frozen prefix: the boundary is the raw features —
-                // score them directly instead of copying the dataset.
-                None if freeze.frozen_blocks() == 0 => SelectionContext::with_boundary(
-                    &mut suffix,
-                    self.data.features(),
-                    self.data.labels(),
-                    round,
-                    self.id,
-                    config.seed,
-                ),
-                None => SelectionContext::with_lazy_boundary(
-                    &mut suffix,
-                    global_model,
-                    freeze,
-                    self.data.features(),
-                    self.data.labels(),
-                    round,
-                    self.id,
-                    config.seed,
-                ),
-            };
-            policy.select(&mut ctx)?
-        };
+        // through the pluggable policy layer. A model-free policy never
+        // reads the boundary, so it gets an empty one.
+        let no_boundary = Matrix::default();
+        let selected_indices = policy.select(&mut SelectionContext::with_boundary(
+            &mut suffix,
+            shard_boundary.unwrap_or(&no_boundary),
+            self.data.labels(),
+            round,
+            self.id,
+            config.seed,
+        ))?;
         let selected_labels: Vec<usize> = selected_indices
             .iter()
             .map(|&i| self.data.labels()[i])
             .collect();
+
+        // Training batches gather their boundary rows by sample index from a
+        // full-shard boundary, or by position in `selected_indices` from one
+        // built over the selected rows. Either way each row is bit-identical
+        // to a per-batch frozen forward: the GEMM core accumulates every
+        // output element in ascending-k order however rows are batched.
+        let selected: Matrix;
+        let (boundary, by_position) = match shard_boundary {
+            Some(shard) => (shard, false),
+            None => {
+                selected = global_model
+                    .forward_frozen(freeze, &features.select_rows(&selected_indices))?;
+                (&selected, true)
+            }
+        };
 
         // --- Local fine-tuning of the trainable part θ (Equation 4).
         let mut optimizer = Sgd::new(config.sgd)?;
@@ -213,35 +217,16 @@ impl Client {
             let mut epoch_loss = 0.0_f32;
             let mut batches = 0usize;
             for chunk in order.chunks(config.batch_size) {
-                batch_rows.clear();
-                batch_rows.extend(chunk.iter().map(|&i| selected_indices[i]));
+                if by_position {
+                    boundary.select_rows_into(chunk, &mut gather);
+                } else {
+                    batch_rows.clear();
+                    batch_rows.extend(chunk.iter().map(|&i| selected_indices[i]));
+                    boundary.select_rows_into(&batch_rows, &mut gather);
+                }
                 batch_labels.clear();
                 batch_labels.extend(chunk.iter().map(|&i| selected_labels[i]));
-                // Boundary activations for this batch: gathered from the
-                // cache, or recomputed through the shared frozen prefix.
-                // Both paths run the same kernels on the same per-row
-                // inputs, so the suffix sees bit-identical values.
-                let frozen_out: Matrix;
-                let boundary: &Matrix = match &cached_boundary {
-                    Some(all) => {
-                        all.select_rows_into(&batch_rows, &mut gather);
-                        &gather
-                    }
-                    None if freeze.frozen_blocks() == 0 => {
-                        self.data
-                            .features()
-                            .select_rows_into(&batch_rows, &mut gather);
-                        &gather
-                    }
-                    None => {
-                        self.data
-                            .features()
-                            .select_rows_into(&batch_rows, &mut gather);
-                        frozen_out = global_model.forward_frozen(freeze, &gather)?;
-                        &frozen_out
-                    }
-                };
-                epoch_loss += suffix.train_batch(boundary, &batch_labels, &mut optimizer)?;
+                epoch_loss += suffix.train_batch(&gather, &batch_labels, &mut optimizer)?;
                 batches += 1;
             }
             train_loss = epoch_loss / batches.max(1) as f32;
@@ -251,7 +236,7 @@ impl Client {
         // workload accountings are deterministic functions of the same
         // inputs, so they are identical whether the cache actually ran.
         let flops = global_model.flops_per_sample(freeze);
-        let selection_pass = config.selection.needs_inference_pass();
+        let selection_pass = policy.needs_inference_pass();
         let compute_seconds = config.cost.client_round_seconds(
             &flops,
             self.data.len(),
@@ -418,6 +403,138 @@ mod tests {
             }
         }
         assert!(!client.feature_cache().is_empty());
+    }
+
+    /// The per-batch reference `local_update` (cache off), rebuilt from
+    /// public calls: a lazily built boundary for scoring, then the frozen
+    /// prefix re-run on every training batch of every epoch.
+    fn per_batch_local_update(
+        client: &Client,
+        model: &BlockNet,
+        config: &FlConfig,
+        round: usize,
+    ) -> ClientUpdate {
+        let data = client.data();
+        let freeze = config.freeze_for_client(client.id());
+        let mut suffix = model.trainable_suffix(freeze);
+        let policy = config.selection.policy();
+        let selected = policy
+            .select(&mut SelectionContext::with_lazy_boundary(
+                &mut suffix,
+                model,
+                freeze,
+                data.features(),
+                data.labels(),
+                round,
+                client.id(),
+                config.seed,
+            ))
+            .unwrap();
+        let mut optimizer = Sgd::new(config.sgd).unwrap();
+        if let LocalAlgorithm::FedProx { mu } = config.algorithm {
+            optimizer.set_proximal(Some(ProximalTerm {
+                mu,
+                reference: suffix.trainable_vector(),
+            }));
+        }
+        let mut order: Vec<usize> = (0..selected.len()).collect();
+        let mut train_loss = 0.0_f32;
+        let stream = format!("client-{}-round-{round}-epoch", client.id());
+        for epoch in 0..config.local_epochs {
+            order.shuffle(&mut rng::rng_for_indexed(
+                config.seed,
+                &stream,
+                epoch as u64,
+            ));
+            let mut epoch_loss = 0.0_f32;
+            let mut batches = 0usize;
+            for chunk in order.chunks(config.batch_size) {
+                let rows: Vec<usize> = chunk.iter().map(|&i| selected[i]).collect();
+                let labels: Vec<usize> = rows.iter().map(|&r| data.labels()[r]).collect();
+                let boundary = model
+                    .forward_frozen(freeze, &data.features().select_rows(&rows))
+                    .unwrap();
+                epoch_loss += suffix
+                    .train_batch(&boundary, &labels, &mut optimizer)
+                    .unwrap();
+                batches += 1;
+            }
+            train_loss = epoch_loss / batches as f32;
+        }
+        let flops = model.flops_per_sample(freeze);
+        let scores = policy.needs_inference_pass();
+        let epochs = config.local_epochs;
+        ClientUpdate {
+            client_id: client.id(),
+            theta: suffix.trainable_vector(),
+            selected_samples: selected.len(),
+            local_samples: data.len(),
+            train_loss,
+            compute_seconds: config.cost.client_round_seconds(
+                &flops,
+                data.len(),
+                selected.len(),
+                epochs,
+                scores,
+            ),
+            cached_compute_seconds: config.cost.cached_client_round_seconds(
+                &flops,
+                data.len(),
+                selected.len(),
+                epochs,
+                scores,
+            ),
+        }
+    }
+
+    fn update_bits(u: &ClientUpdate) -> (usize, Vec<u32>, usize, usize, u32, u64, u64) {
+        (
+            u.client_id,
+            u.theta.values().iter().map(|v| v.to_bits()).collect(),
+            u.selected_samples,
+            u.local_samples,
+            u.train_loss.to_bits(),
+            u.compute_seconds.to_bits(),
+            u.cached_compute_seconds.to_bits(),
+        )
+    }
+
+    #[test]
+    fn per_update_boundary_is_bit_identical_to_per_batch_frozen_forward() {
+        // 37 samples: every fraction below leaves a partial last batch of 8.
+        let client = Client::new(2, client_dataset(37, 10));
+        let model = global_model();
+        for freeze in FreezeLevel::all() {
+            for selection in [
+                SelectionStrategy::All,
+                SelectionStrategy::Random { fraction: 0.6 },
+                SelectionStrategy::Entropy {
+                    fraction: 0.6,
+                    temperature: 0.1,
+                },
+                SelectionStrategy::LossProportional { fraction: 0.6 },
+                SelectionStrategy::GradientNorm { fraction: 0.6 },
+            ] {
+                for algorithm in [LocalAlgorithm::FedAvg, LocalAlgorithm::FedProx { mu: 0.5 }] {
+                    for epochs in [1, 3] {
+                        let config = quick_config()
+                            .with_freeze(freeze)
+                            .with_selection(selection)
+                            .with_algorithm(algorithm)
+                            .with_local_epochs(epochs);
+                        let new = client.local_update(&model, &config, 1).unwrap();
+                        let old = per_batch_local_update(&client, &model, &config, 1);
+                        assert_ne!(new.selected_samples % config.batch_size, 0);
+                        assert_eq!(
+                            update_bits(&new),
+                            update_bits(&old),
+                            "freeze {freeze}, {}, {algorithm:?}, {epochs} epochs",
+                            selection.short_name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

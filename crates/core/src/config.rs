@@ -90,14 +90,15 @@ pub struct FlConfig {
     pub deadline_seconds: f64,
     /// Serve frozen-prefix boundary activations from a per-client
     /// [`crate::cache::FeatureCache`] instead of re-running the frozen
-    /// blocks on every batch, epoch, round and selection pass.
+    /// blocks once per client update (with the cache off, one frozen
+    /// forward per update serves selection scoring and every batch).
     ///
     /// The cache is a *simulator* optimisation: run histories are
     /// bit-identical with the knob on or off (same kernels on the same
     /// inputs — pinned by `tests/feature_cache_e2e.rs`), and the simulated
     /// cost accounting always reports both the paper-faithful and the
-    /// cached workload regardless of this setting. Off by default so the
-    /// executed work mirrors the paper's device workload; turn it on to
+    /// cached workload regardless of this setting. Off by default so every
+    /// round runs the frozen prefix like the paper's devices; turn it on to
     /// scale the client pool. Has no effect at [`FreezeLevel::Full`]
     /// (there is no frozen prefix to cache).
     pub feature_cache: bool,

@@ -282,8 +282,11 @@ impl BlockNet {
     /// Returns an error if the input width differs from
     /// [`BlockNet::input_dim`].
     pub fn forward_frozen(&self, freeze: FreezeLevel, input: &Matrix) -> Result<Matrix> {
-        let mut current = input.clone();
-        for block in &self.blocks[..freeze.frozen_blocks()] {
+        let Some((first, rest)) = self.blocks[..freeze.frozen_blocks()].split_first() else {
+            return Ok(input.clone());
+        };
+        let mut current = first.forward_frozen(input)?;
+        for block in rest {
             current = block.forward_frozen(&current)?;
         }
         Ok(current)

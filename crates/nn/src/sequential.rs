@@ -76,8 +76,11 @@ impl Sequential {
     ///
     /// Propagates the first layer error encountered.
     pub fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        let mut current = input.clone();
-        for layer in &self.layers {
+        let Some((first, rest)) = self.layers.split_first() else {
+            return Ok(input.clone());
+        };
+        let mut current = first.forward_frozen(input)?;
+        for layer in rest {
             current = layer.forward_frozen(&current)?;
         }
         Ok(current)
