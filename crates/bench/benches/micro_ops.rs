@@ -9,7 +9,7 @@ use fedft_core::entropy::{
 };
 use fedft_core::{Client, ClientUpdate, FlConfig, SelectionStrategy, Server};
 use fedft_data::Dataset;
-use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, ParamVector};
+use fedft_nn::{BlockNet, BlockNetConfig, FreezeLevel, ParamVector, Sgd, SgdConfig};
 use fedft_tensor::{init, rng, stats, Matrix};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -38,6 +38,14 @@ fn bench_matmul(c: &mut Criterion) {
     c.bench_function("matmul_nt_512x512x512", |bencher| {
         bencher.iter(|| big_a.matmul_nt(&big_b).unwrap())
     });
+
+    // The classifier-head shape of a training batch: 10 output columns,
+    // narrower than one 16-wide register block.
+    let narrow_a = random_matrix(32, 64, 9);
+    let narrow_b = random_matrix(64, 10, 10);
+    c.bench_function("matmul_32x64x10", |bencher| {
+        bencher.iter(|| narrow_a.matmul(&narrow_b).unwrap())
+    });
 }
 
 /// Batched small GEMM against one shared right-hand side — the per-round
@@ -58,6 +66,27 @@ fn bench_matmul_batch(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
+}
+
+/// One suffix training step (forward, loss, backward, SGD step) on a
+/// 32-row batch of boundary activations — the unit of work local training
+/// repeats. `Moderate` trains the up block and the classifier from a
+/// 64-wide boundary; `Full` trains all four blocks from the raw features.
+fn bench_suffix_train_batch(c: &mut Criterion) {
+    let model = BlockNet::new(&BlockNetConfig::new(48, 10).with_hidden(64, 64, 64), 1);
+    let features = random_matrix(32, 48, 11);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+    for (name, freeze) in [
+        ("suffix_train_batch_moderate_b32_h64", FreezeLevel::Moderate),
+        ("suffix_train_batch_full_b32_h64", FreezeLevel::Full),
+    ] {
+        let boundary = model.forward_frozen(freeze, &features).unwrap();
+        let mut suffix = model.trainable_suffix(freeze);
+        let mut sgd = Sgd::new(SgdConfig::default()).unwrap();
+        c.bench_function(name, |bencher| {
+            bencher.iter(|| suffix.train_batch(&boundary, &labels, &mut sgd).unwrap())
+        });
+    }
 }
 
 fn bench_softmax_entropy(c: &mut Criterion) {
@@ -244,6 +273,7 @@ criterion_group!(
     config = Criterion::default().sample_size(20);
     targets = bench_matmul,
         bench_matmul_batch,
+        bench_suffix_train_batch,
         bench_softmax_entropy,
         bench_suffix_round_batch,
         bench_entropy_selection,

@@ -167,7 +167,7 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Matrix, _training: bool) -> Result<Matrix> {
         let out = self.compute_forward(input)?;
-        self.cached_input = Some(input.clone());
+        crate::layers::cache_copy(&mut self.cached_input, input);
         Ok(out)
     }
 
@@ -175,7 +175,7 @@ impl Layer for Conv2d {
         self.compute_forward(input)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>> {
         let input = self
             .cached_input
             .as_ref()
@@ -188,7 +188,7 @@ impl Layer for Conv2d {
                 rhs: (input.rows(), out_shape.len()),
             }));
         }
-        let mut grad_input = Matrix::zeros(input.rows(), input.cols());
+        let mut grad_input = input_grad.then(|| Matrix::zeros(input.rows(), input.cols()));
         for sample in 0..input.rows() {
             let in_row = input.row(sample);
             let go_row = grad_output.row(sample);
@@ -211,9 +211,11 @@ impl Layer for Conv2d {
                                             ic * self.kernel * self.kernel + ky * self.kernel + kx;
                                         let dw = self.grad_weight.get(w_row, oc) + in_row[idx] * go;
                                         self.grad_weight.set(w_row, oc, dw);
-                                        let gi = grad_input.get(sample, idx)
-                                            + self.weight.get(w_row, oc) * go;
-                                        grad_input.set(sample, idx, gi);
+                                        if let Some(grad_input) = grad_input.as_mut() {
+                                            let gi = grad_input.get(sample, idx)
+                                                + self.weight.get(w_row, oc) * go;
+                                            grad_input.set(sample, idx, gi);
+                                        }
                                     }
                                 }
                             }
@@ -229,8 +231,11 @@ impl Layer for Conv2d {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_and_grads(&mut self) -> (Vec<&mut Matrix>, Vec<&Matrix>) {
+        (
+            vec![&mut self.weight, &mut self.bias],
+            vec![&self.grad_weight, &self.grad_bias],
+        )
     }
 
     fn grads(&self) -> Vec<&Matrix> {
@@ -358,7 +363,7 @@ impl Layer for MaxPool2d {
         Ok(self.compute_forward(input)?.0)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>> {
         let argmax = self
             .argmax
             .as_ref()
@@ -371,6 +376,9 @@ impl Layer for MaxPool2d {
                 rhs: (self.cached_rows, out_shape.len()),
             }));
         }
+        if !input_grad {
+            return Ok(None);
+        }
         let mut grad_input = Matrix::zeros(self.cached_rows, self.input_shape.len());
         for sample in 0..self.cached_rows {
             for out_idx in 0..out_shape.len() {
@@ -379,15 +387,15 @@ impl Layer for MaxPool2d {
                 grad_input.set(sample, src, g);
             }
         }
-        Ok(grad_input)
+        Ok(Some(grad_input))
     }
 
     fn params(&self) -> Vec<&Matrix> {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        Vec::new()
+    fn params_and_grads(&mut self) -> (Vec<&mut Matrix>, Vec<&Matrix>) {
+        (Vec::new(), Vec::new())
     }
 
     fn grads(&self) -> Vec<&Matrix> {
@@ -461,7 +469,7 @@ mod tests {
         let x = Matrix::from_vec(1, 9, (0..9).map(|v| v as f32 * 0.3 - 1.0).collect()).unwrap();
         let y = conv.forward(&x, true).unwrap();
         let grad_out = Matrix::full(y.rows(), y.cols(), 1.0);
-        let analytic = conv.backward(&grad_out).unwrap();
+        let analytic = conv.backward(grad_out, true).unwrap().unwrap();
 
         let eps = 1e-2;
         let mut probe = conv.clone();
@@ -484,7 +492,7 @@ mod tests {
     #[test]
     fn conv_backward_requires_forward() {
         let mut conv = Conv2d::new(VolumeShape::new(1, 3, 3), 1, 2, 0, 0).unwrap();
-        assert!(conv.backward(&Matrix::zeros(1, 4)).is_err());
+        assert!(conv.backward(Matrix::zeros(1, 4), true).is_err());
     }
 
     #[test]
@@ -494,7 +502,10 @@ mod tests {
         let y = pool.forward(&x, true).unwrap();
         assert_eq!(y.shape(), (1, 1));
         assert_eq!(y.get(0, 0), 5.0);
-        let g = pool.backward(&Matrix::full(1, 1, 2.0)).unwrap();
+        let g = pool
+            .backward(Matrix::full(1, 1, 2.0), true)
+            .unwrap()
+            .unwrap();
         assert_eq!(g.as_slice(), &[0.0, 2.0, 0.0, 0.0]);
     }
 

@@ -19,6 +19,13 @@ pub struct FlopsBreakdown {
     pub forward_trainable: u64,
     /// Backward FLOPs through the trainable blocks (the frozen part is never
     /// back-propagated through, which is where FedFT saves compute).
+    ///
+    /// This counts every trainable layer at twice its forward cost
+    /// ([`crate::Layer::backward_flops_per_sample`]), including the bottom
+    /// trainable layer's input gradient, which the training step skips
+    /// because nothing below the boundary consumes it. The over-count is
+    /// deliberate: it keeps the simulated seconds, and with them every
+    /// learning-efficiency figure, comparable with earlier results.
     pub backward_trainable: u64,
 }
 

@@ -8,7 +8,8 @@ use fedft_tensor::Matrix;
 ///
 /// Layers cache whatever they need from the forward pass (inputs, masks,
 /// normalisation statistics) so that `backward` can compute parameter
-/// gradients and the gradient with respect to the layer input.
+/// gradients and, when asked for it, the gradient with respect to the layer
+/// input.
 ///
 /// The trait is object safe; models store layers as `Box<dyn Layer>`.
 /// Layers must be `Send + Sync` so that client models can be trained on
@@ -63,21 +64,36 @@ pub trait Layer: Send + Sync {
 
     /// Runs the backward pass for the most recent `forward` call.
     ///
-    /// Accumulates parameter gradients internally and returns the gradient of
-    /// the loss with respect to the layer input.
+    /// Accumulates the parameter gradients into the layer (see
+    /// [`Layer::grads`]) and, when `input_grad` is `true`, returns the
+    /// gradient of the loss with respect to the layer input. With
+    /// `input_grad == false` it returns `None` and skips that computation —
+    /// the bottom trainable layer's input gradient would only be discarded —
+    /// while the accumulated parameter gradients stay **bit-identical** to
+    /// the `true` call. The upstream gradient is taken by value so that
+    /// elementwise layers can produce their input gradient in place.
     ///
     /// # Errors
     ///
     /// Returns [`crate::NnError::BackwardBeforeForward`] when called before
     /// `forward`, or a tensor error on shape mismatch.
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix>;
+    fn backward(&mut self, grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>>;
 
     /// Immutable views of the layer's learnable parameter tensors.
     fn params(&self) -> Vec<&Matrix>;
 
     /// Mutable views of the layer's learnable parameter tensors, in the same
+    /// order as [`Layer::params`], together with their accumulated
+    /// gradients ([`Layer::grads`]) — the split borrow an optimiser step
+    /// needs to update parameters from gradients held in the same layer
+    /// without copying them.
+    fn params_and_grads(&mut self) -> (Vec<&mut Matrix>, Vec<&Matrix>);
+
+    /// Mutable views of the layer's learnable parameter tensors, in the same
     /// order as [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut Matrix>;
+    fn params_mut(&mut self) -> Vec<&mut Matrix> {
+        self.params_and_grads().0
+    }
 
     /// Gradients accumulated by the most recent backward pass, in the same
     /// order as [`Layer::params`].

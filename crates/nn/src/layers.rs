@@ -5,6 +5,15 @@ use crate::{NnError, Result};
 use fedft_tensor::{init, rng, Matrix};
 use rand::Rng;
 
+/// Stores a copy of `input` in a layer's activation cache, reusing the
+/// cached buffer's allocation from the previous batch.
+pub(crate) fn cache_copy(slot: &mut Option<Matrix>, input: &Matrix) {
+    match slot {
+        Some(cached) => cached.clone_from(input),
+        None => *slot = Some(input.clone()),
+    }
+}
+
 /// Fully-connected (affine) layer: `Y = X·W + b`.
 ///
 /// Weights use He-normal initialisation, biases start at zero.
@@ -78,12 +87,14 @@ impl Layer for Dense {
 
     fn forward(&mut self, input: &Matrix, _training: bool) -> Result<Matrix> {
         let out = self.forward_frozen(input)?;
-        self.cached_input = Some(input.clone());
+        cache_copy(&mut self.cached_input, input);
         Ok(out)
     }
 
     fn forward_frozen(&self, input: &Matrix) -> Result<Matrix> {
-        Ok(input.matmul(&self.weight)?.add_row_broadcast(&self.bias)?)
+        let mut out = input.matmul(&self.weight)?;
+        out.add_row_broadcast_assign(&self.bias)?;
+        Ok(out)
     }
 
     fn forward_frozen_batch(&self, inputs: &[&Matrix]) -> Result<Vec<Matrix>> {
@@ -91,32 +102,38 @@ impl Layer for Dense {
         // once and swept by every input (`Matrix::matmul_batch`) instead of
         // being re-read column-strided per call. Each product is
         // byte-identical to the per-input `matmul`.
-        let products = self.weight.matmul_batch(inputs)?;
-        products
-            .into_iter()
-            .map(|p| Ok(p.add_row_broadcast(&self.bias)?))
-            .collect()
+        let mut products = self.weight.matmul_batch(inputs)?;
+        for p in &mut products {
+            p.add_row_broadcast_assign(&self.bias)?;
+        }
+        Ok(products)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>> {
         let input = self
             .cached_input
             .as_ref()
             .ok_or(NnError::BackwardBeforeForward { layer: "dense" })?;
         // dW = X^T · dY, accumulated.
-        let dw = input.matmul_tn(grad_output)?;
+        let dw = input.matmul_tn(&grad_output)?;
         self.grad_weight.add_assign(&dw)?;
         self.grad_bias.add_assign(&grad_output.sum_rows())?;
+        if !input_grad {
+            return Ok(None);
+        }
         // dX = dY · W^T
-        Ok(grad_output.matmul_nt(&self.weight)?)
+        Ok(Some(grad_output.matmul_nt(&self.weight)?))
     }
 
     fn params(&self) -> Vec<&Matrix> {
         vec![&self.weight, &self.bias]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.weight, &mut self.bias]
+    fn params_and_grads(&mut self) -> (Vec<&mut Matrix>, Vec<&Matrix>) {
+        (
+            vec![&mut self.weight, &mut self.bias],
+            vec![&self.grad_weight, &self.grad_bias],
+        )
     }
 
     fn grads(&self) -> Vec<&Matrix> {
@@ -161,7 +178,7 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Matrix, _training: bool) -> Result<Matrix> {
-        self.cached_input = Some(input.clone());
+        cache_copy(&mut self.cached_input, input);
         self.forward_frozen(input)
     }
 
@@ -169,7 +186,7 @@ impl Layer for Relu {
         Ok(input.map(|v| v.max(0.0)))
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, mut grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>> {
         let input = self
             .cached_input
             .as_ref()
@@ -181,16 +198,23 @@ impl Layer for Relu {
                 rhs: grad_output.shape(),
             }));
         }
-        let mask = input.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        Ok(grad_output.hadamard(&mask)?)
+        if !input_grad {
+            return Ok(None);
+        }
+        // Multiply by the 0/1 mask in place (not a select), so a non-finite
+        // upstream gradient still propagates as `∞ · 0 = NaN`.
+        for (g, &x) in grad_output.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            *g *= if x > 0.0 { 1.0 } else { 0.0 };
+        }
+        Ok(Some(grad_output))
     }
 
     fn params(&self) -> Vec<&Matrix> {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        Vec::new()
+    fn params_and_grads(&mut self) -> (Vec<&mut Matrix>, Vec<&Matrix>) {
+        (Vec::new(), Vec::new())
     }
 
     fn grads(&self) -> Vec<&Matrix> {
@@ -279,10 +303,13 @@ impl Layer for Dropout {
         Ok(input.clone())
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>> {
+        if !input_grad {
+            return Ok(None);
+        }
         match &self.mask {
-            Some(mask) => Ok(grad_output.hadamard(mask)?),
-            None => Ok(grad_output.clone()),
+            Some(mask) => Ok(Some(grad_output.hadamard(mask)?)),
+            None => Ok(Some(grad_output)),
         }
     }
 
@@ -290,8 +317,8 @@ impl Layer for Dropout {
         Vec::new()
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        Vec::new()
+    fn params_and_grads(&mut self) -> (Vec<&mut Matrix>, Vec<&Matrix>) {
+        (Vec::new(), Vec::new())
     }
 
     fn grads(&self) -> Vec<&Matrix> {
@@ -443,12 +470,12 @@ impl Layer for BatchNorm1d {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>> {
         let cache = self.cache.as_ref().ok_or(NnError::BackwardBeforeForward {
             layer: "batchnorm1d",
         })?;
         let n = grad_output.rows() as f32;
-        let mut grad_input = Matrix::zeros(grad_output.rows(), self.features);
+        let mut grad_input = input_grad.then(|| Matrix::zeros(grad_output.rows(), self.features));
 
         for c in 0..self.features {
             let mut sum_dy = 0.0_f32;
@@ -461,6 +488,9 @@ impl Layer for BatchNorm1d {
             self.grad_beta.set(0, c, self.grad_beta.get(0, c) + sum_dy);
             self.grad_gamma
                 .set(0, c, self.grad_gamma.get(0, c) + sum_dy_xhat);
+            let Some(grad_input) = grad_input.as_mut() else {
+                continue;
+            };
             let gamma = self.gamma.get(0, c);
             for r in 0..grad_output.rows() {
                 let dy = grad_output.get(r, c);
@@ -476,8 +506,11 @@ impl Layer for BatchNorm1d {
         vec![&self.gamma, &self.beta]
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.gamma, &mut self.beta]
+    fn params_and_grads(&mut self) -> (Vec<&mut Matrix>, Vec<&Matrix>) {
+        (
+            vec![&mut self.gamma, &mut self.beta],
+            vec![&self.grad_gamma, &self.grad_beta],
+        )
     }
 
     fn grads(&self) -> Vec<&Matrix> {
@@ -540,7 +573,7 @@ mod tests {
     #[test]
     fn dense_backward_before_forward_errors() {
         let mut layer = Dense::new(3, 2, 1);
-        let err = layer.backward(&Matrix::zeros(1, 2)).unwrap_err();
+        let err = layer.backward(Matrix::zeros(1, 2), true).unwrap_err();
         assert!(matches!(err, NnError::BackwardBeforeForward { .. }));
     }
 
@@ -551,7 +584,7 @@ mod tests {
         // Scalar objective: sum of outputs.
         let y = layer.forward(&x, true).unwrap();
         let grad_out = Matrix::full(y.rows(), y.cols(), 1.0);
-        let grad_in = layer.backward(&grad_out).unwrap();
+        let grad_in = layer.backward(grad_out, true).unwrap().unwrap();
 
         let mut probe = layer.clone();
         finite_difference_check(
@@ -569,7 +602,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![1.0, -2.0], vec![0.5, 0.25]]).unwrap();
         let y = layer.forward(&x, true).unwrap();
         layer
-            .backward(&Matrix::full(y.rows(), y.cols(), 1.0))
+            .backward(Matrix::full(y.rows(), y.cols(), 1.0), true)
             .unwrap();
         let analytic = layer.grads()[0].clone();
 
@@ -594,10 +627,10 @@ mod tests {
         let x = Matrix::full(1, 2, 1.0);
         let g = Matrix::full(1, 2, 1.0);
         layer.forward(&x, true).unwrap();
-        layer.backward(&g).unwrap();
+        layer.backward(g.clone(), true).unwrap();
         let first = layer.grads()[0].clone();
         layer.forward(&x, true).unwrap();
-        layer.backward(&g).unwrap();
+        layer.backward(g, true).unwrap();
         assert!(layer.grads()[0].approx_eq(&first.scale(2.0), 1e-6));
         layer.zero_grads();
         assert_eq!(layer.grads()[0].sum(), 0.0);
@@ -609,7 +642,10 @@ mod tests {
         let x = Matrix::from_rows(&[vec![-1.0, 0.0, 2.0]]).unwrap();
         let y = relu.forward(&x, true).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
-        let g = relu.backward(&Matrix::full(1, 3, 1.0)).unwrap();
+        let g = relu
+            .backward(Matrix::full(1, 3, 1.0), true)
+            .unwrap()
+            .unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
     }
 
@@ -617,7 +653,7 @@ mod tests {
     fn relu_backward_shape_mismatch_errors() {
         let mut relu = Relu::new(3);
         relu.forward(&Matrix::zeros(1, 3), true).unwrap();
-        assert!(relu.backward(&Matrix::zeros(1, 4)).is_err());
+        assert!(relu.backward(Matrix::zeros(1, 4), true).is_err());
     }
 
     #[test]
@@ -642,7 +678,7 @@ mod tests {
         let mut d = Dropout::new(0.5, 9, 16);
         let x = Matrix::full(4, 16, 1.0);
         let y = d.forward(&x, true).unwrap();
-        let g = d.backward(&Matrix::full(4, 16, 1.0)).unwrap();
+        let g = d.backward(Matrix::full(4, 16, 1.0), true).unwrap().unwrap();
         assert!(g.approx_eq(&y, 1e-6));
     }
 
@@ -673,7 +709,7 @@ mod tests {
     #[test]
     fn batchnorm_backward_requires_forward() {
         let mut bn = BatchNorm1d::new(2);
-        assert!(bn.backward(&Matrix::zeros(3, 2)).is_err());
+        assert!(bn.backward(Matrix::zeros(3, 2), true).is_err());
     }
 
     #[test]
@@ -698,7 +734,7 @@ mod tests {
         // Objective: weighted sum so gradients differ per element.
         let weights =
             Matrix::from_rows(&[vec![1.0, 2.0], vec![-1.0, 0.5], vec![0.25, -2.0]]).unwrap();
-        let analytic = bn.backward(&weights).unwrap();
+        let analytic = bn.backward(weights.clone(), true).unwrap().unwrap();
         let _ = y;
 
         let mut probe = BatchNorm1d::new(2);

@@ -54,19 +54,35 @@ impl SoftmaxCrossEntropy {
     /// The gradient is already divided by the batch size, so downstream
     /// layers receive the gradient of the *mean* loss.
     ///
+    /// One pass per row: the max-shifted exponentials are computed once and
+    /// serve both the softmax and the log-sum-exp of the label's
+    /// log-probability. Bit-identical to [`stats::softmax`] and
+    /// [`stats::log_softmax`] computed separately: both sum the same
+    /// exponentials left to right from zero.
+    ///
     /// # Errors
     ///
     /// Returns an error when shapes and labels are inconsistent.
     pub fn forward_backward(&self, logits: &Matrix, labels: &[usize]) -> Result<(f32, Matrix)> {
         self.check(logits, labels)?;
-        let probs = stats::softmax(logits)?;
-        let log_probs = stats::log_softmax(logits)?;
         let n = labels.len() as f32;
-        let mut grad = probs;
+        let mut grad = Matrix::zeros(logits.rows(), logits.cols());
         let mut total = 0.0_f32;
         for (i, &label) in labels.iter().enumerate() {
-            total -= log_probs.get(i, label);
-            grad.set(i, label, grad.get(i, label) - 1.0);
+            let row = logits.row(i);
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let probs = grad.row_mut(i);
+            let mut denom = 0.0_f32;
+            for (p, &z) in probs.iter_mut().zip(row) {
+                let e = (z - max).exp();
+                *p = e;
+                denom += e;
+            }
+            for p in probs.iter_mut() {
+                *p /= denom;
+            }
+            total -= row[label] - (denom.ln() + max);
+            probs[label] -= 1.0;
         }
         grad.scale_assign(1.0 / n);
         Ok((total / n, grad))
@@ -123,6 +139,31 @@ mod tests {
         // Gradient rows sum to zero.
         assert!(grad.sum_rows().as_slice().iter().all(|_| true));
         assert!(grad.row(0).iter().sum::<f32>().abs() < 1e-6);
+    }
+
+    #[test]
+    fn fused_pass_is_bit_identical_to_softmax_and_log_softmax() {
+        let loss = SoftmaxCrossEntropy::new();
+        let logits = Matrix::from_rows(&[
+            vec![0.3, -0.7, 1.2, 40.0],
+            vec![2.0, 0.0, -1.0, -90.0],
+            vec![-3.5, -3.5, 8.25, 0.0],
+        ])
+        .unwrap();
+        let labels = [2, 0, 3];
+        let (value, grad) = loss.forward_backward(&logits, &labels).unwrap();
+        // The two-pass reference the fused loop replaced.
+        let mut expected = stats::softmax(&logits).unwrap();
+        let log_probs = stats::log_softmax(&logits).unwrap();
+        let mut total = 0.0_f32;
+        for (i, &label) in labels.iter().enumerate() {
+            total -= log_probs.get(i, label);
+            expected.set(i, label, expected.get(i, label) - 1.0);
+        }
+        expected.scale_assign(1.0 / 3.0);
+        assert_eq!((total / 3.0).to_bits(), value.to_bits());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&expected), bits(&grad));
     }
 
     #[test]

@@ -172,20 +172,35 @@ impl Sgd {
                 }));
             }
             let n = param.len();
-            let reference = self
-                .proximal
-                .as_ref()
-                .map(|p| (&p.reference.values()[offset..offset + n], p.mu));
-            let param_slice = param.as_mut_slice();
-            let grad_slice = grad.as_slice();
-            let vel_slice = velocity.as_mut_slice();
-            for i in 0..n {
-                let mut g = grad_slice[i] + self.config.weight_decay * param_slice[i];
-                if let Some((reference, mu)) = reference {
-                    g += mu * (param_slice[i] - reference[i]);
+            let SgdConfig {
+                learning_rate,
+                momentum,
+                weight_decay,
+            } = self.config;
+            let lanes = param
+                .as_mut_slice()
+                .iter_mut()
+                .zip(grad.as_slice())
+                .zip(velocity.as_mut_slice());
+            // The FedProx branch is hoisted out of the element loop; both
+            // loops apply the same per-element arithmetic in the same order.
+            match &self.proximal {
+                Some(prox) => {
+                    let reference = &prox.reference.values()[offset..offset + n];
+                    for (((p, &g), v), &r) in lanes.zip(reference) {
+                        let mut g = g + weight_decay * *p;
+                        g += prox.mu * (*p - r);
+                        *v = momentum * *v + g;
+                        *p -= learning_rate * *v;
+                    }
                 }
-                vel_slice[i] = self.config.momentum * vel_slice[i] + g;
-                param_slice[i] -= self.config.learning_rate * vel_slice[i];
+                None => {
+                    for ((p, &g), v) in lanes {
+                        let g = g + weight_decay * *p;
+                        *v = momentum * *v + g;
+                        *p -= learning_rate * *v;
+                    }
+                }
             }
             offset += n;
         }

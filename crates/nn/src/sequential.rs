@@ -59,8 +59,11 @@ impl Sequential {
     ///
     /// Propagates the first layer error encountered.
     pub fn forward(&mut self, input: &Matrix, training: bool) -> Result<Matrix> {
-        let mut current = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(input.clone());
+        };
+        let mut current = first.forward(input, training)?;
+        for layer in rest {
             current = layer.forward(&current, training)?;
         }
         Ok(current)
@@ -108,17 +111,26 @@ impl Sequential {
         Ok(current)
     }
 
-    /// Runs the backward pass through every layer in reverse order.
+    /// Runs the backward pass through every layer in reverse order,
+    /// accumulating every layer's parameter gradients.
+    ///
+    /// Returns the gradient with respect to the container's input when
+    /// `input_grad` is `true`, and `None` otherwise — the bottom layer then
+    /// skips its input gradient (see [`Layer::backward`]); every layer above
+    /// it still produces the gradient the layer below consumes.
     ///
     /// # Errors
     ///
     /// Propagates the first layer error encountered.
-    pub fn backward(&mut self, grad_output: &Matrix) -> Result<Matrix> {
-        let mut current = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            current = layer.backward(&current)?;
+    pub fn backward(&mut self, grad_output: Matrix, input_grad: bool) -> Result<Option<Matrix>> {
+        let mut current = grad_output;
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            match layer.backward(current, input_grad || i > 0)? {
+                Some(grad) => current = grad,
+                None => return Ok(None),
+            }
         }
-        Ok(current)
+        Ok(input_grad.then_some(current))
     }
 
     /// Immutable views of all parameters, layer by layer.
@@ -139,6 +151,21 @@ impl Sequential {
     /// [`Sequential::params`].
     pub fn grads(&self) -> Vec<&Matrix> {
         self.layers.iter().flat_map(|l| l.grads()).collect()
+    }
+
+    /// Appends mutable views of all parameters to `params` and their
+    /// gradients to `grads`, in [`Sequential::params`] order — the split
+    /// borrow of [`Layer::params_and_grads`] across every layer.
+    pub(crate) fn params_and_grads<'a>(
+        &'a mut self,
+        params: &mut Vec<&'a mut Matrix>,
+        grads: &mut Vec<&'a Matrix>,
+    ) {
+        for layer in &mut self.layers {
+            let (p, g) = layer.params_and_grads();
+            params.extend(p);
+            grads.extend(g);
+        }
     }
 
     /// Zeros all accumulated gradients.
@@ -217,7 +244,7 @@ mod tests {
             let logits = net.forward(&x, true).unwrap();
             let (_, grad) = loss.forward_backward(&logits, &[0, 1]).unwrap();
             net.zero_grads();
-            net.backward(&grad).unwrap();
+            net.backward(grad, true).unwrap();
             let grads: Vec<Matrix> = net.grads().iter().map(|g| (*g).clone()).collect();
             for (p, g) in net.params_mut().into_iter().zip(grads.iter()) {
                 p.add_scaled_assign(g, -0.5).unwrap();
@@ -245,7 +272,7 @@ mod tests {
             let logits = net.forward(&x, true).unwrap();
             let (_, grad) = loss.forward_backward(&logits, &labels).unwrap();
             net.zero_grads();
-            net.backward(&grad).unwrap();
+            net.backward(grad, true).unwrap();
             let grads: Vec<Matrix> = net.grads().iter().map(|g| (*g).clone()).collect();
             for (p, g) in net.params_mut().into_iter().zip(grads.iter()) {
                 p.add_scaled_assign(g, -0.5).unwrap();
@@ -266,6 +293,8 @@ mod tests {
         assert!(net.is_empty());
         let x = Matrix::full(2, 3, 4.0);
         assert!(net.forward(&x, true).unwrap().approx_eq(&x, 0.0));
-        assert!(net.backward(&x).unwrap().approx_eq(&x, 0.0));
+        let grad = net.backward(x.clone(), true).unwrap().unwrap();
+        assert!(grad.approx_eq(&x, 0.0));
+        assert!(net.backward(x, false).unwrap().is_none());
     }
 }

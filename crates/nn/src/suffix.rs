@@ -24,8 +24,11 @@ pub(crate) fn forward_blocks(
     input: &Matrix,
     training: bool,
 ) -> Result<Matrix> {
-    let mut current = input.clone();
-    for block in blocks {
+    let Some((first, rest)) = blocks.split_first_mut() else {
+        return Ok(input.clone());
+    };
+    let mut current = first.forward(input, training)?;
+    for block in rest {
         current = block.forward(&current, training)?;
     }
     Ok(current)
@@ -40,8 +43,11 @@ pub(crate) fn forward_blocks_inference_batch(
     blocks: &[Sequential],
     inputs: &[&Matrix],
 ) -> Result<Vec<Matrix>> {
-    let mut current: Vec<Matrix> = inputs.iter().map(|&m| m.clone()).collect();
-    for block in blocks {
+    let Some((first, rest)) = blocks.split_first() else {
+        return Ok(inputs.iter().map(|&m| m.clone()).collect());
+    };
+    let mut current = first.forward_frozen_batch(inputs)?;
+    for block in rest {
         let refs: Vec<&Matrix> = current.iter().collect();
         current = block.forward_frozen_batch(&refs)?;
     }
@@ -50,6 +56,10 @@ pub(crate) fn forward_blocks_inference_batch(
 
 /// One training step on a run of blocks: forward from the boundary
 /// activations, loss, backward through every block, optimiser step.
+///
+/// The backward pass stops at the boundary: the bottom block is asked for
+/// no input gradient (nothing below it trains), and the optimiser reads the
+/// gradients in place through [`Sequential::params_and_grads`].
 ///
 /// This is the single implementation of the suffix training step;
 /// [`crate::BlockNet::train_batch`] and [`SuffixNet::train_batch`] both
@@ -67,16 +77,18 @@ pub(crate) fn train_blocks(
         block.zero_grads();
     }
     // Backward through the trainable blocks only, in reverse order.
-    for block in blocks.iter_mut().rev() {
-        grad = block.backward(&grad)?;
+    for (i, block) in blocks.iter_mut().enumerate().rev() {
+        match block.backward(grad, i > 0)? {
+            Some(below) => grad = below,
+            None => break,
+        }
     }
-    let grads: Vec<Matrix> = blocks
-        .iter()
-        .flat_map(|b| b.grads().into_iter().cloned())
-        .collect();
-    let mut params: Vec<&mut Matrix> = blocks.iter_mut().flat_map(|b| b.params_mut()).collect();
-    let grad_refs: Vec<&Matrix> = grads.iter().collect();
-    optimizer.step(&mut params, &grad_refs)?;
+    let mut params = Vec::new();
+    let mut grads = Vec::new();
+    for block in blocks.iter_mut() {
+        block.params_and_grads(&mut params, &mut grads);
+    }
+    optimizer.step(&mut params, &grads)?;
     Ok(loss_value)
 }
 

@@ -12,6 +12,12 @@
 //! by all [`MR`] rows of the block. Against the naive triple loop this
 //! removes the per-step output reload/store and cuts `B` traffic by `MR`×.
 //!
+//! Every tile runs at full size. A narrow `B` edge (`n % NR` columns — all
+//! of `B` for a ≤15-class classifier) is copied into a zero-padded panel in
+//! grow-only per-thread scratch, and a remainder slab (`m % MR` rows)
+//! repeats its last row; the padding lanes and rows are computed and never
+//! stored.
+//!
 //! Determinism: every output element accumulates its `k` terms in strictly
 //! ascending order, and output rows are partitioned disjointly across
 //! threads, so results are byte-identical run to run and for any thread
@@ -27,6 +33,7 @@
 //! depend only on the requested worker count, so results are byte-identical
 //! at any pool size.
 
+use std::cell::RefCell;
 use std::sync::Mutex;
 
 /// Rows per register block. Tuned empirically on the AVX-512 host this
@@ -64,6 +71,13 @@ fn mac(acc: f32, s: f32, b: f32) -> f32 {
     }
 }
 
+thread_local! {
+    /// Grow-only scratch for the zero-padded edge panel of the thread
+    /// dispatching a direct product (see [`BPanels`]); pool workers read it
+    /// shared.
+    static EDGE_PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
 /// `out[i][j] += Σ_k a[i][k] · b[k][j]` for row-major `a` (`m×k`), `b`
 /// (`k×n`) and zero-initialised `out` (`m×n`).
 ///
@@ -94,6 +108,46 @@ pub(crate) fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &
     gemm_nn_direct(m, k, n, a, b, out);
 }
 
+/// The row-major `B` operand of a direct product as a sequence of `NR`-wide
+/// column blocks. Full-width blocks are read in place (stride `n`); the
+/// narrow edge block (`n % NR` columns, which is all of `B` when `n < NR`)
+/// is copied into a zero-padded `k × NR` panel, so the micro-kernel always
+/// runs full width. Padded lanes are computed and never stored.
+struct BPanels<'a> {
+    b: &'a [f32],
+    n: usize,
+    edge: &'a [f32],
+}
+
+impl<'a> BPanels<'a> {
+    /// Packs the edge panel (if `n % NR != 0`) into `scratch`.
+    fn pack(k: usize, n: usize, b: &'a [f32], scratch: &'a mut Vec<f32>) -> Self {
+        let j0 = n - n % NR;
+        let width = n - j0;
+        let len = if width == 0 { 0 } else { k * NR };
+        if scratch.len() < len {
+            scratch.resize(len, 0.0);
+        }
+        let edge = &mut scratch[..len];
+        edge.fill(0.0);
+        for (dst, src) in edge.chunks_exact_mut(NR).zip(b.chunks_exact(n)) {
+            dst[..width].copy_from_slice(&src[j0..]);
+        }
+        BPanels { b, n, edge }
+    }
+
+    /// Block `jb` as `(slice, stride, column)`: lane `l` of reduction step
+    /// `kk` is `slice[kk * stride + column + l]`.
+    #[inline]
+    fn block(&self, jb: usize) -> (&[f32], usize, usize) {
+        if jb < self.n / NR {
+            (self.b, self.n, jb * NR)
+        } else {
+            (self.edge, NR, 0)
+        }
+    }
+}
+
 /// The direct (non-packing) kernel: register blocking only, `B` streamed
 /// from the row-major operand. Public within the crate so the packed core's
 /// bit-identity tests can pin packed ≡ direct explicitly.
@@ -101,40 +155,34 @@ pub(crate) fn gemm_nn_direct(m: usize, k: usize, n: usize, a: &[f32], b: &[f32],
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let threads = max_threads(m, k, n);
-    if threads <= 1 {
-        gemm_rows(k, n, a, b, out);
-        return;
-    }
-
-    // Split output rows into contiguous per-worker chunks (multiples of the
-    // register block so only the last chunk carries a remainder block) and
-    // dispatch them on the persistent pool. Each chunk's disjoint operand
-    // and output slices sit in a once-claimable slot; the slot index is the
-    // chunk's row range divided by the (identical) pool chunk length.
-    let chunk_rows = crate::pool::aligned_chunk_len(m, threads, MR);
-    let slots: Vec<ChunkSlot> = out
-        .chunks_mut(chunk_rows * n)
-        .enumerate()
-        .map(|(chunk_idx, out_chunk)| {
-            let row0 = chunk_idx * chunk_rows;
-            let rows = out_chunk.len() / n;
-            Mutex::new(Some((&a[row0 * k..(row0 + rows) * k], out_chunk)))
-        })
-        .collect();
-    crate::pool::run_aligned_chunks(m, threads, MR, |rows| {
-        let (a_chunk, out_chunk) = slots[rows.start / chunk_rows]
-            .lock()
-            .expect("row chunk slot lock")
-            .take()
-            .expect("each row chunk is claimed exactly once");
-        gemm_rows(k, n, a_chunk, b, out_chunk);
+    EDGE_PANEL.with(|cell| {
+        let mut scratch = cell.borrow_mut();
+        let panels = BPanels::pack(k, n, b, &mut scratch);
+        let threads = max_threads(m, k, n);
+        if threads <= 1 {
+            gemm_rows(k, a, &panels, 0, out);
+            return;
+        }
+        // Split output rows into contiguous per-worker chunks (multiples of
+        // the register block so only the last chunk carries remainder rows)
+        // and dispatch them on the persistent pool. Each chunk's disjoint
+        // output slice sits in a once-claimable slot; the slot index is the
+        // chunk's row range divided by the (identical) pool chunk length.
+        let chunk_rows = crate::pool::aligned_chunk_len(m, threads, MR);
+        let slots: Vec<Mutex<Option<&mut [f32]>>> = out
+            .chunks_mut(chunk_rows * n)
+            .map(|chunk| Mutex::new(Some(chunk)))
+            .collect();
+        crate::pool::run_aligned_chunks(m, threads, MR, |rows| {
+            let out_chunk = slots[rows.start / chunk_rows]
+                .lock()
+                .expect("row chunk slot lock")
+                .take()
+                .expect("each row chunk is claimed exactly once");
+            gemm_rows(k, a, &panels, rows.start, out_chunk);
+        });
     });
 }
-
-/// A once-claimable `(A rows, C rows)` slice pair for one pool chunk of a
-/// row-partitioned product.
-type ChunkSlot<'a> = Mutex<Option<(&'a [f32], &'a mut [f32])>>;
 
 /// Decides the worker count for a product of the given shape.
 fn max_threads(m: usize, k: usize, n: usize) -> usize {
@@ -149,51 +197,60 @@ fn max_threads(m: usize, k: usize, n: usize) -> usize {
     crate::pool::hardware_threads().min(m.div_ceil(MR))
 }
 
-/// Sequential GEMM over a row slice of the output: `a` holds `rows × k`
-/// values, `out` holds `rows × n`.
-fn gemm_rows(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    let rows = out.len() / n;
-    let main = rows - rows % MR;
-    for (a_block, out_block) in a
-        .chunks_exact(MR * k)
-        .zip(out.chunks_exact_mut(MR * n))
-        .take(main / MR)
-    {
-        gemm_row_block(k, n, a_block, b, out_block);
-    }
-    for (a_row, out_row) in a[main * k..]
-        .chunks_exact(k)
-        .zip(out[main * n..].chunks_exact_mut(n))
-    {
-        gemm_single_row(k, n, a_row, b, out_row);
-    }
-}
-
-/// Computes an `MR`-row slab of the output: full-width register blocks, then
-/// one narrower remainder block.
-fn gemm_row_block(k: usize, n: usize, a_block: &[f32], b: &[f32], out_block: &mut [f32]) {
-    let mut a_rows: [&[f32]; MR] = [&[]; MR];
-    for (r, row) in a_rows.iter_mut().enumerate() {
-        *row = &a_block[r * k..(r + 1) * k];
-    }
-    let j_main = n - n % NR;
-    for j0 in (0..j_main).step_by(NR) {
-        micro_kernel(k, n, &a_rows, b, j0, out_block);
-    }
-    if j_main < n {
-        micro_kernel_edge(k, n, &a_rows, b, j_main, out_block);
+/// Sequential direct GEMM over output rows `row0..row0 + out.len() / n` of
+/// the row-major `A`, in `MR`-row slabs. The last slab of a `rows % MR`
+/// remainder repeats its last row in the missing slots: those rows are
+/// computed and never stored, so every row, like every column, goes through
+/// the full-size micro-kernel.
+fn gemm_rows(k: usize, a: &[f32], panels: &BPanels<'_>, row0: usize, out: &mut [f32]) {
+    let n = panels.n;
+    for (slab, out_slab) in out.chunks_mut(MR * n).enumerate() {
+        let valid = out_slab.len() / n;
+        let i0 = row0 + slab * MR;
+        let a_rows: [&[f32]; MR] = std::array::from_fn(|r| {
+            let i = i0 + r.min(valid - 1);
+            &a[i * k..(i + 1) * k]
+        });
+        for jb in 0..n.div_ceil(NR) {
+            let (b, stride, col) = panels.block(jb);
+            let j0 = jb * NR;
+            let width = NR.min(n - j0);
+            if valid == MR && width == NR {
+                micro_kernel(k, &a_rows, b, stride, col, &mut out_slab[j0..], n);
+            } else {
+                // A partial tile goes through a stack tile, so the kernel
+                // only ever indexes its accumulators with constants and
+                // they stay in registers.
+                let mut tile = [0.0f32; MR * NR];
+                micro_kernel(k, &a_rows, b, stride, col, &mut tile, NR);
+                for (r, tile_row) in tile.chunks_exact(NR).take(valid).enumerate() {
+                    out_slab[r * n + j0..r * n + j0 + width].copy_from_slice(&tile_row[..width]);
+                }
+            }
+        }
     }
 }
 
-/// The register micro-kernel: accumulates the `MR × NR` output block at
-/// column `j0` over the full reduction. All loops over rows and lanes have
-/// constant bounds, so the accumulators are promoted to vector registers;
-/// each `k` step costs two `B` vector loads and `MR` broadcast multiply-adds.
-#[inline]
-fn micro_kernel(k: usize, n: usize, a_rows: &[&[f32]; MR], b: &[f32], j0: usize, out: &mut [f32]) {
+/// The register micro-kernel: the `MR × NR` tile of rows `a_rows` against
+/// the `B` block whose lanes at reduction step `kk` are
+/// `b[kk * stride + col ..][..NR]`, accumulated over the full reduction and
+/// stored to `dst` (row stride `dst_stride`). All loops over rows and lanes
+/// have constant bounds, so the accumulators are promoted to vector
+/// registers; each `k` step costs the `B` vector loads and `MR` broadcast
+/// multiply-adds, every loaded `B` vector reused by all `MR` rows.
+#[inline(always)]
+fn micro_kernel(
+    k: usize,
+    a_rows: &[&[f32]; MR],
+    b: &[f32],
+    stride: usize,
+    col: usize,
+    dst: &mut [f32],
+    dst_stride: usize,
+) {
     let mut acc = [[0.0f32; NR]; MR];
     for kk in 0..k {
-        let bv: &[f32; NR] = b[kk * n + j0..kk * n + j0 + NR]
+        let bv: &[f32; NR] = b[kk * stride + col..kk * stride + col + NR]
             .try_into()
             .expect("slice length is NR by construction");
         for r in 0..MR {
@@ -204,61 +261,7 @@ fn micro_kernel(k: usize, n: usize, a_rows: &[&[f32]; MR], b: &[f32], j0: usize,
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n + j0..r * n + j0 + NR].copy_from_slice(acc_row);
-    }
-}
-
-/// Remainder columns (`n % NR`) of an `MR`-row slab, ascending-`k` per
-/// element like every other path.
-fn micro_kernel_edge(
-    k: usize,
-    n: usize,
-    a_rows: &[&[f32]; MR],
-    b: &[f32],
-    j0: usize,
-    out: &mut [f32],
-) {
-    let jw = n - j0;
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let bv = &b[kk * n + j0..kk * n + j0 + jw];
-        for r in 0..MR {
-            let s = a_rows[r][kk];
-            for (al, &bl) in acc[r][..jw].iter_mut().zip(bv) {
-                *al = mac(*al, s, bl);
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        out[r * n + j0..r * n + j0 + jw].copy_from_slice(&acc_row[..jw]);
-    }
-}
-
-/// Fallback for the `rows % MR` remainder rows: one output row at a time,
-/// four reduction steps fused per pass to limit output-row traffic.
-fn gemm_single_row(k: usize, n: usize, a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let k_main = k - k % 4;
-    for kk in (0..k_main).step_by(4) {
-        let b0 = &b[kk * n..kk * n + n];
-        let b1 = &b[(kk + 1) * n..(kk + 1) * n + n];
-        let b2 = &b[(kk + 2) * n..(kk + 2) * n + n];
-        let b3 = &b[(kk + 3) * n..(kk + 3) * n + n];
-        let (s0, s1, s2, s3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-        for j in 0..n {
-            // Nested ascending-k accumulation, fused per step.
-            out_row[j] = mac(
-                mac(mac(mac(out_row[j], s0, b0[j]), s1, b1[j]), s2, b2[j]),
-                s3,
-                b3[j],
-            );
-        }
-    }
-    for kk in k_main..k {
-        let brow = &b[kk * n..kk * n + n];
-        let s = a_row[kk];
-        for (oj, &bj) in out_row.iter_mut().zip(brow) {
-            *oj = mac(*oj, s, bj);
-        }
+        dst[r * dst_stride..r * dst_stride + NR].copy_from_slice(acc_row);
     }
 }
 

@@ -24,11 +24,29 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`, reusing `self`'s buffer when its
+    /// capacity allows (activation caches refilled every batch).
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -323,10 +341,32 @@ impl Matrix {
 
     /// Returns the transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        // In 8×8 blocks transposed through registers, so both sides are
+        // read and written a short contiguous run at a time.
+        const B: usize = 8;
+        let (rows_main, cols_main) = (rows - rows % B, cols - cols % B);
+        for r0 in (0..rows_main).step_by(B) {
+            for c0 in (0..cols_main).step_by(B) {
+                // block[j][i] = self[r0 + i][c0 + j]
+                let mut block = [[0.0f32; B]; B];
+                for i in 0..B {
+                    let at = (r0 + i) * cols + c0;
+                    for (block_row, &v) in block.iter_mut().zip(&self.data[at..at + B]) {
+                        block_row[i] = v;
+                    }
+                }
+                for (j, block_row) in block.iter().enumerate() {
+                    let at = (c0 + j) * rows + r0;
+                    out.data[at..at + B].copy_from_slice(block_row);
+                }
+            }
+        }
+        for r in 0..rows {
+            let c_start = if r < rows_main { cols_main } else { 0 };
+            for c in c_start..cols {
+                out.data[c * rows + r] = self.data[r * cols + c];
             }
         }
         out
@@ -599,6 +639,17 @@ impl Matrix {
     ///
     /// Returns [`TensorError::ShapeMismatch`] unless `bias` is 1×`self.cols()`.
     pub fn add_row_broadcast(&self, bias: &Matrix) -> Result<Matrix> {
+        let mut out = self.clone();
+        out.add_row_broadcast_assign(bias)?;
+        Ok(out)
+    }
+
+    /// Adds a 1×`cols` row vector to every row in place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] unless `bias` is 1×`self.cols()`.
+    pub fn add_row_broadcast_assign(&mut self, bias: &Matrix) -> Result<()> {
         if bias.rows != 1 || bias.cols != self.cols {
             return Err(TensorError::ShapeMismatch {
                 op: "add_row_broadcast",
@@ -606,21 +657,26 @@ impl Matrix {
                 rhs: bias.shape(),
             });
         }
-        let mut out = self.clone();
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] += bias.data[c];
+        if self.cols == 0 {
+            return Ok(());
+        }
+        for row in self.data.chunks_exact_mut(self.cols) {
+            for (v, &b) in row.iter_mut().zip(&bias.data) {
+                *v += b;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Sums over rows, producing a 1×`cols` row vector.
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.data[r * self.cols + c];
+        if self.cols == 0 {
+            return out;
+        }
+        for row in self.data.chunks_exact(self.cols) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
         out
@@ -872,6 +928,33 @@ mod tests {
         let out = m.add_row_broadcast(&bias).unwrap();
         assert_eq!(out.get(0, 0), 2.0);
         assert_eq!(out.get(1, 2), 7.0);
+    }
+
+    #[test]
+    fn row_ops_and_transpose_accept_empty_shapes() {
+        // `chunks_exact(0)` panics, so zero-column matrices must not reach
+        // the row iterators.
+        for (rows, cols) in [(0, 0), (0, 3), (3, 0)] {
+            let m = Matrix::zeros(rows, cols);
+            let bias = Matrix::zeros(1, cols);
+            assert_eq!(m.add_row_broadcast(&bias).unwrap().shape(), (rows, cols));
+            let mut in_place = m.clone();
+            in_place.add_row_broadcast_assign(&bias).unwrap();
+            assert_eq!(in_place, m);
+            assert_eq!(m.sum_rows(), Matrix::zeros(1, cols));
+            assert_eq!(m.transpose().shape(), (cols, rows));
+        }
+    }
+
+    #[test]
+    fn transpose_matches_elementwise_definition_on_block_remainders() {
+        let m = Matrix::from_vec(11, 9, (0..99).map(|v| v as f32).collect()).unwrap();
+        let t = m.transpose();
+        for r in 0..11 {
+            for c in 0..9 {
+                assert_eq!(t.get(c, r), m.get(r, c));
+            }
+        }
     }
 
     #[test]

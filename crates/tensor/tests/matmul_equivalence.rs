@@ -96,3 +96,68 @@ fn repeated_products_are_bit_identical() {
         assert_eq!(a.matmul(&b).unwrap(), first);
     }
 }
+
+/// One multiply-accumulate exactly as the kernels perform it: fused on FMA
+/// targets, two roundings otherwise.
+fn mac(acc: f32, s: f32, b: f32) -> f32 {
+    if cfg!(target_feature = "fma") {
+        s.mul_add(b, acc)
+    } else {
+        acc + s * b
+    }
+}
+
+/// Scalar oracle: every element is `mac` over ascending `k` from `0.0`, the
+/// chain every kernel path must reproduce bit for bit.
+fn mac_oracle(a: &Matrix, b: &Matrix) -> Matrix {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let mut out = Matrix::zeros(m, n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc = mac(acc, a.get(i, kk), b.get(kk, j));
+            }
+            out.set(i, j, acc);
+        }
+    }
+    out
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn narrow_and_edge_products_are_bit_exact_against_the_mac_oracle() {
+    // n below one 16-wide register block and n straddling it, with row
+    // counts that leave remainder rows (m % 8 != 0) and full slabs.
+    for n in (1..=15).chain(17..=31) {
+        for (case, &(m, k)) in [(1, 7), (5, 64), (12, 10), (19, 33), (32, 64)]
+            .iter()
+            .enumerate()
+        {
+            let id = (n * 10 + case) as u64;
+            let a = random(m, k, id, "edge-a");
+            let b = random(k, n, id, "edge-b");
+            let expected = bits(&mac_oracle(&a, &b));
+            assert_eq!(
+                bits(&a.matmul(&b).unwrap()),
+                expected,
+                "matmul ({m},{k},{n})"
+            );
+            let at = a.transpose();
+            assert_eq!(
+                bits(&at.matmul_tn(&b).unwrap()),
+                expected,
+                "matmul_tn ({m},{k},{n})"
+            );
+            let bt = b.transpose();
+            assert_eq!(
+                bits(&a.matmul_nt(&bt).unwrap()),
+                expected,
+                "matmul_nt ({m},{k},{n})"
+            );
+        }
+    }
+}
